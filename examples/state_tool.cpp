@@ -1,29 +1,24 @@
-// Operator tooling for eid state files: inspect what a checkpoint or
-// history file contains, verify its integrity (magic, structure, per-
-// section CRC32), and convert profile histories between the legacy text
-// formats and the compact binary container — the migration path a
-// deployment walks once and the debugging tool it keeps.
+// Operator tooling for eid state files: inspect what a checkpoint or a
+// delta chain contains and verify its integrity (magic, structure, per-
+// section CRC32, full decode) — the debugging tool a deployment keeps.
 //
 // Usage:
 //   state_tool inspect <file>
 //   state_tool verify [--deep] <file>
-//   state_tool convert <input> <output> [--text|--binary]
 //
-// All input formats are auto-detected by magic — including delta-chain
-// files ("EIDDELT1" frames, storage/delta.h); inspecting a full
+// The input kind — full checkpoint ("EIDSTOR1") or delta chain ("EIDDELT1"
+// frames, storage/delta.h) — is detected by magic; inspecting a full
 // checkpoint also summarizes its companion <file>.delta chain.
-// verify --deep prints a per-section CRC/size/decode report (and a
-// per-frame report for delta chains) and exits nonzero on the first
-// failure. Exit status: 0 on success, 1 on bad usage, 2 on a failed
-// verify/load.
+// verify --deep prints a per-section CRC/size report (and a per-frame
+// report for delta chains), decodes every container, and exits nonzero on
+// the first failure. Exit status: 0 on success, 1 on bad usage, 2 on a
+// failed verify/load.
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "profile/persistence.h"
 #include "storage/container.h"
 #include "storage/delta.h"
-#include "storage/encoding.h"
 #include "storage/state.h"
 
 namespace {
@@ -34,15 +29,13 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s inspect <file>\n"
                "       %s verify [--deep] <file>\n"
-               "       %s convert <input> <output> [--text|--binary]\n"
                "\n"
-               "inspect  describe a state/history/delta file (format, sections,\n"
+               "inspect  describe a checkpoint or delta chain (format, sections,\n"
                "         counts; full checkpoints include their .delta chain)\n"
-               "verify   check integrity (magic, structure, section CRC32s);\n"
-               "         --deep adds a per-section (and per-delta-frame)\n"
-               "         CRC/size/decode report, nonzero exit on first failure\n"
-               "convert  rewrite a domain/UA history between text and binary\n",
-               argv0, argv0, argv0);
+               "verify   check integrity (magic, structure, section CRC32s,\n"
+               "         decode); --deep adds a per-section (and per-delta-\n"
+               "         frame) CRC/size report, nonzero exit on first failure\n",
+               argv0, argv0);
   return 1;
 }
 
@@ -62,30 +55,18 @@ const char* section_name(std::uint64_t id) {
     case storage::SectionId::RtCursor: return "rt-cursor";
     case storage::SectionId::Incidents: return "incidents";
     case storage::SectionId::DeltaHeader: return "delta-header";
-    case storage::SectionId::DomainDelta: return "domain-delta";
-    case storage::SectionId::UaDelta: return "ua-delta";
   }
   return "unknown";
 }
 
-bool looks_like_delta_chain(const std::string& bytes) {
-  return bytes.size() >= storage::kDeltaMagic.size() &&
-         std::string_view(bytes).substr(0, storage::kDeltaMagic.size()) ==
-             storage::kDeltaMagic;
+bool starts_with(const std::string& bytes, std::string_view magic) {
+  return std::string_view(bytes).substr(0, magic.size()) == magic;
 }
 
 void print_failure(const char* what, const storage::LoadStatus& status) {
   std::fprintf(stderr, "%s: %s%s%s\n", what,
                storage::load_error_name(status.error),
                status.detail.empty() ? "" : " — ", status.detail.c_str());
-}
-
-/// First text line of a buffer (for magic detection on legacy formats).
-std::string first_line(const std::string& bytes) {
-  const auto eol = bytes.find('\n');
-  std::string line = bytes.substr(0, eol == std::string::npos ? bytes.size() : eol);
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return line;
 }
 
 /// Summarize a delta chain file: frame count, seq/day spans, tail state.
@@ -114,11 +95,11 @@ int inspect_chain(const std::filesystem::path& chain_path,
     const auto decoded_frame = storage::decode_delta_frame(frame.payload);
     if (!decoded_frame) continue;
     if (decoded == 0) {
-      first_seq = decoded_frame->seq;
-      first_day = decoded_frame->day;
+      first_seq = decoded_frame->header.seq;
+      first_day = decoded_frame->header.day;
     }
-    last_seq = decoded_frame->seq;
-    last_day = decoded_frame->day;
+    last_seq = decoded_frame->header.seq;
+    last_day = decoded_frame->header.day;
     ++decoded;
   }
   if (decoded > 0) {
@@ -131,109 +112,31 @@ int inspect_chain(const std::filesystem::path& chain_path,
   return 0;
 }
 
-/// Per-section decode report for one EIDSTOR1 container (a full state or
-/// one delta-frame payload). Returns 0 when every section decodes.
-int deep_verify_container(const std::string& bytes, const char* label) {
+/// Per-section report for one EIDSTOR1 container (a full state or one
+/// delta-frame payload), then a decode of the whole container. Returns 0
+/// when it decodes.
+int deep_verify_container(const std::string& bytes, const char* label,
+                          bool is_frame) {
   storage::LoadStatus status;
   const auto reader = storage::ContainerReader::parse(bytes, &status);
   if (!reader) {
     print_failure(label, status);
     return 2;
   }
-  namespace det = storage::detail;
-  det::DecodedTable table;
-  // The string table decodes first — id sections reference it.
-  if (const storage::Section* section =
-          reader->find(storage::SectionId::StringTable)) {
-    if (!det::decode_string_table(section->payload, table, &status)) {
-      std::printf("  %-14s id=%-3d %10zu bytes  crc ok  DECODE FAILED\n",
-                  "string-table", 1, section->payload.size());
-      print_failure(label, status);
-      return 2;
-    }
-  }
-  const bool is_delta_payload =
-      reader->find(storage::SectionId::DeltaHeader) != nullptr;
   for (const storage::Section& section : reader->sections()) {
-    bool ok = true;
-    status = {};
-    switch (static_cast<storage::SectionId>(section.id)) {
-      case storage::SectionId::StringTable:
-        break;  // decoded above
-      case storage::SectionId::Config: {
-        core::PipelineConfig config;
-        ok = det::decode_config_section(section.payload, config, &status);
-        break;
-      }
-      case storage::SectionId::DomainHistory: {
-        profile::DomainHistory history;
-        ok = det::decode_domain_history_section(section.payload, table,
-                                                history, &status);
-        break;
-      }
-      case storage::SectionId::UaHistory: {
-        std::optional<profile::UaHistory> history;
-        ok = det::decode_ua_history_section(section.payload, table, history,
-                                            &status);
-        break;
-      }
-      case storage::SectionId::TopSites:
-      case storage::SectionId::Intel: {
-        std::vector<std::string> strings;
-        ok = det::decode_string_set_section(section.payload, table,
-                                            section_name(section.id), strings,
-                                            &status);
-        break;
-      }
-      case storage::SectionId::CcModel:
-      case storage::SectionId::SimModel: {
-        core::ScoredModel model;
-        ok = det::decode_model_section(section.payload,
-                                       section_name(section.id), model,
-                                       &status);
-        break;
-      }
-      case storage::SectionId::TrainingStats: {
-        storage::TrainingStats training;
-        ok = det::decode_training_section(section.payload, training, &status);
-        break;
-      }
-      case storage::SectionId::Counters: {
-        storage::Counters counters;
-        ok = det::decode_counters_section(section.payload, counters, &status);
-        break;
-      }
-      case storage::SectionId::TrainingRows: {
-        storage::TrainingRows rows;
-        ok = det::decode_training_rows_section(section.payload, rows, &status);
-        break;
-      }
-      case storage::SectionId::DeltaHeader:
-      case storage::SectionId::DomainDelta:
-      case storage::SectionId::UaDelta:
-      case storage::SectionId::RtCursor:
-      case storage::SectionId::Incidents:
-        // Delta-frame sections decode as a unit below (they reference the
-        // frame header and each other).
-        break;
-    }
-    std::printf("  %-14s id=%-3llu %10zu bytes  crc ok  %s\n",
+    std::printf("  %-14s id=%-3llu %10zu bytes  crc ok\n",
                 section_name(section.id),
                 static_cast<unsigned long long>(section.id),
-                section.payload.size(), ok ? "decode ok" : "DECODE FAILED");
-    if (!ok) {
-      print_failure(label, status);
-      return 2;
-    }
+                section.payload.size());
   }
-  if (is_delta_payload) {
-    status = {};
-    if (!storage::decode_delta_frame(bytes, &status)) {
-      print_failure(label, status);
-      return 2;
-    }
-    std::printf("  delta frame decodes as a unit\n");
+  const bool ok = is_frame
+                      ? storage::decode_delta_frame(bytes, &status).has_value()
+                      : storage::decode_detector_state(bytes, &status).has_value();
+  if (!ok) {
+    print_failure(label, status);
+    return 2;
   }
+  std::printf("  %s decodes\n", is_frame ? "delta frame" : "checkpoint");
   return 0;
 }
 
@@ -262,10 +165,10 @@ int deep_verify_chain(const std::filesystem::path& chain_path) {
                 "base crc %08llx\n",
                 i, static_cast<unsigned long long>(frame.offset),
                 frame.payload.size(),
-                static_cast<unsigned long long>(decoded->seq),
-                util::format_day(decoded->day).c_str(),
-                static_cast<unsigned long long>(decoded->base_crc));
-    const int rc = deep_verify_container(frame.payload, "verify");
+                static_cast<unsigned long long>(decoded->header.seq),
+                util::format_day(decoded->header.day).c_str(),
+                static_cast<unsigned long long>(decoded->header.base_crc));
+    const int rc = deep_verify_container(frame.payload, "verify", true);
     if (rc != 0) return rc;
   }
   if (info.torn_tail) {
@@ -293,67 +196,25 @@ int inspect_container(const std::string& bytes) {
                 static_cast<unsigned long long>(section.id),
                 section.payload.size());
   }
-  // Decoded summaries for the component sections we understand.
-  if (reader->find(storage::SectionId::DomainHistory) != nullptr) {
-    if (const auto history = storage::decode_domain_history(bytes)) {
-      std::printf("domain history: %zu domain(s), %zu day(s) ingested\n",
-                  history->size(), history->days_ingested());
-    }
+  status = {};
+  const auto state = storage::decode_detector_state(bytes, &status);
+  if (!state) {
+    print_failure("inspect", status);
+    return 2;
   }
-  if (reader->find(storage::SectionId::UaHistory) != nullptr) {
-    if (const auto history = storage::decode_ua_history(bytes)) {
-      std::printf("ua history: %zu distinct UA(s), rare threshold %zu\n",
-                  history->distinct_uas(), history->rare_threshold());
-    }
-  }
-  if (reader->find(storage::SectionId::Config) != nullptr) {
-    if (const auto state = storage::decode_detector_state(bytes)) {
-      std::printf("detector state: models %s, %llu operation day(s), "
-                  "%zu intel domain(s)%s\n",
-                  state->training.models_ready ? "trained" : "untrained",
-                  static_cast<unsigned long long>(state->counters.days_operated),
-                  state->intel_domains.size(),
-                  state->has_top_sites ? ", top-sites whitelist" : "");
-    }
-  }
+  std::printf("domain history: %zu domain(s), %zu day(s) ingested\n",
+              state->domain_history.size(),
+              state->domain_history.days_ingested());
+  std::printf("ua history: %zu distinct UA(s), rare threshold %zu\n",
+              state->ua_history.distinct_uas(),
+              state->ua_history.rare_threshold());
+  std::printf("detector state: models %s, %llu operation day(s), "
+              "%zu intel domain(s)%s\n",
+              state->training.models_ready ? "trained" : "untrained",
+              static_cast<unsigned long long>(state->counters.days_operated),
+              state->intel_domains.size(),
+              state->has_top_sites ? ", top-sites whitelist" : "");
   return 0;
-}
-
-int inspect_text(const std::filesystem::path& path, const std::string& bytes) {
-  const std::string magic = first_line(bytes);
-  storage::LoadStatus status;
-  if (magic == "eid-domain-history 1") {
-    const auto history = profile::load_domain_history(path, &status);
-    if (!history) {
-      print_failure("inspect", status);
-      return 2;
-    }
-    std::printf("format: eid-domain-history 1 (legacy text)\n");
-    std::printf("size: %zu bytes\n", bytes.size());
-    std::printf("domain history: %zu domain(s), %zu day(s) ingested\n",
-                history->size(), history->days_ingested());
-    return 0;
-  }
-  if (magic == "eid-ua-history 1") {
-    const auto history = profile::load_ua_history(path, &status);
-    if (!history) {
-      print_failure("inspect", status);
-      return 2;
-    }
-    std::printf("format: eid-ua-history 1 (legacy text)\n");
-    std::printf("size: %zu bytes\n", bytes.size());
-    std::printf("ua history: %zu distinct UA(s), rare threshold %zu\n",
-                history->distinct_uas(), history->rare_threshold());
-    return 0;
-  }
-  if (magic == "eid-scored-model 1") {
-    std::printf("format: eid-scored-model 1 (legacy text, core/model_io.h)\n");
-    std::printf("size: %zu bytes\n", bytes.size());
-    return 0;
-  }
-  std::fprintf(stderr, "inspect: unrecognized format (first line: \"%.60s\")\n",
-               magic.c_str());
-  return 2;
 }
 
 int cmd_inspect(const std::filesystem::path& path) {
@@ -363,26 +224,27 @@ int cmd_inspect(const std::filesystem::path& path) {
     print_failure("inspect", status);
     return 2;
   }
-  if (looks_like_delta_chain(*bytes)) {
+  if (starts_with(*bytes, storage::kDeltaMagic)) {
     std::printf("format: eid delta chain (EIDDELT1 frames)\n");
     return inspect_chain(path, -1);
   }
-  if (storage::looks_like_container(*bytes)) {
-    const int rc = inspect_container(*bytes);
-    if (rc != 0) return rc;
-    // A full checkpoint's companion chain, when present.
-    const std::filesystem::path chain_path = storage::delta_chain_path(path);
-    std::error_code ec;
-    if (std::filesystem::exists(chain_path, ec)) {
-      long long base_day = -1;
-      if (const auto state = storage::decode_detector_state(*bytes)) {
-        base_day = static_cast<long long>(state->counters.days_operated);
-      }
-      return inspect_chain(chain_path, base_day);
-    }
-    return 0;
+  if (!starts_with(*bytes, storage::kContainerMagic)) {
+    std::fprintf(stderr, "inspect: not an eid state file\n");
+    return 2;
   }
-  return inspect_text(path, *bytes);
+  const int rc = inspect_container(*bytes);
+  if (rc != 0) return rc;
+  // A full checkpoint's companion chain, when present.
+  const std::filesystem::path chain_path = storage::delta_chain_path(path);
+  std::error_code ec;
+  if (std::filesystem::exists(chain_path, ec)) {
+    long long base_day = -1;
+    if (const auto state = storage::decode_detector_state(*bytes)) {
+      base_day = static_cast<long long>(state->counters.days_operated);
+    }
+    return inspect_chain(chain_path, base_day);
+  }
+  return 0;
 }
 
 int cmd_verify(const std::filesystem::path& path, bool deep) {
@@ -392,35 +254,31 @@ int cmd_verify(const std::filesystem::path& path, bool deep) {
     print_failure("verify", status);
     return 2;
   }
-  if (looks_like_delta_chain(*bytes)) {
-    if (deep) {
-      const int rc = deep_verify_chain(path);
-      if (rc != 0) return rc;
-    } else {
-      storage::DeltaChainInfo info;
-      if (!storage::read_delta_chain(path, info, &status)) {
+  if (starts_with(*bytes, storage::kDeltaMagic)) {
+    if (deep) return deep_verify_chain(path);
+    storage::DeltaChainInfo info;
+    if (!storage::read_delta_chain(path, info, &status)) {
+      print_failure("verify", status);
+      return 2;
+    }
+    for (const auto& frame : info.frames) {
+      if (!storage::decode_delta_frame(frame.payload, &status)) {
         print_failure("verify", status);
         return 2;
       }
-      for (const auto& frame : info.frames) {
-        if (!storage::decode_delta_frame(frame.payload, &status)) {
-          print_failure("verify", status);
-          return 2;
-        }
-      }
-      if (info.torn_tail) {
-        std::printf("note: torn tail past byte %llu — recoverable, the next "
-                    "append truncates it\n",
-                    static_cast<unsigned long long>(info.valid_bytes));
-      }
-      std::printf("OK: delta chain verified (%zu frame(s))\n",
-                  info.frames.size());
     }
+    if (info.torn_tail) {
+      std::printf("note: torn tail past byte %llu — recoverable, the next "
+                  "append truncates it\n",
+                  static_cast<unsigned long long>(info.valid_bytes));
+    }
+    std::printf("OK: delta chain verified (%zu frame(s))\n",
+                info.frames.size());
     return 0;
   }
-  if (deep && storage::looks_like_container(*bytes)) {
+  if (deep) {
     std::printf("deep verify %s:\n", path.string().c_str());
-    const int rc = deep_verify_container(*bytes, "verify");
+    const int rc = deep_verify_container(*bytes, "verify", false);
     if (rc != 0) return rc;
     // A full checkpoint's companion chain is part of its durability story:
     // verify it too when present.
@@ -433,149 +291,16 @@ int cmd_verify(const std::filesystem::path& path, bool deep) {
     std::printf("OK: deep verify passed\n");
     return 0;
   }
-  if (storage::looks_like_container(*bytes)) {
-    const auto reader = storage::ContainerReader::parse(*bytes, &status);
-    if (!reader) {
-      print_failure("verify", status);
-      return 2;
-    }
-    // Structure + CRCs are good; decode every section we understand so
-    // semantic corruption (bad ids, inconsistent dimensions) fails too.
-    const bool full_state = reader->find(storage::SectionId::Config) != nullptr;
-    if (full_state) {
-      if (!storage::decode_detector_state(*bytes, &status)) {
-        print_failure("verify", status);
-        return 2;
-      }
-    } else {
-      if (reader->find(storage::SectionId::DomainHistory) != nullptr &&
-          !storage::decode_domain_history(*bytes, &status)) {
-        print_failure("verify", status);
-        return 2;
-      }
-      if (reader->find(storage::SectionId::UaHistory) != nullptr &&
-          !storage::decode_ua_history(*bytes, &status)) {
-        print_failure("verify", status);
-        return 2;
-      }
-    }
-    std::printf("OK: container verified (%zu section(s), all checksums good)\n",
-                reader->sections().size());
-    return 0;
-  }
-  const std::string magic = first_line(*bytes);
-  if (magic == "eid-domain-history 1") {
-    if (!profile::load_domain_history(path, &status)) {
-      print_failure("verify", status);
-      return 2;
-    }
-  } else if (magic == "eid-ua-history 1") {
-    if (!profile::load_ua_history(path, &status)) {
-      print_failure("verify", status);
-      return 2;
-    }
-  } else {
-    std::fprintf(stderr, "verify: unrecognized format\n");
+  // Structure + CRCs, then a full decode so semantic corruption (bad ids,
+  // inconsistent dimensions) fails too.
+  const auto reader = storage::ContainerReader::parse(*bytes, &status);
+  if (!reader || !storage::decode_detector_state(*bytes, &status)) {
+    print_failure("verify", status);
     return 2;
   }
-  std::printf("OK: text file parsed cleanly\n");
+  std::printf("OK: container verified (%zu section(s), all checksums good)\n",
+              reader->sections().size());
   return 0;
-}
-
-int cmd_convert(const std::filesystem::path& input,
-                const std::filesystem::path& output, bool to_binary) {
-  storage::LoadStatus status;
-  const auto bytes = storage::read_file(input, &status);
-  if (!bytes) {
-    print_failure("convert", status);
-    return 2;
-  }
-  // Kind detection: container section ids, or the text magic line.
-  bool is_domain = false;
-  bool is_ua = false;
-  if (storage::looks_like_container(*bytes)) {
-    const auto reader = storage::ContainerReader::parse(*bytes, &status);
-    if (!reader) {
-      print_failure("convert", status);
-      return 2;
-    }
-    is_domain = reader->find(storage::SectionId::DomainHistory) != nullptr;
-    is_ua = reader->find(storage::SectionId::UaHistory) != nullptr;
-    if (is_domain && is_ua) {
-      std::fprintf(stderr,
-                   "convert: full detector states have no text equivalent; "
-                   "use api::Detector::load_state\n");
-      return 1;
-    }
-  } else {
-    const std::string magic = first_line(*bytes);
-    is_domain = magic == "eid-domain-history 1";
-    is_ua = magic == "eid-ua-history 1";
-  }
-  if (is_domain) {
-    const auto history = profile::load_domain_history(input, &status);
-    if (!history) {
-      print_failure("convert", status);
-      return 2;
-    }
-    std::size_t skipped = 0;
-    if (to_binary) {
-      status = {};
-      if (!storage::save_domain_history(*history, output, 1, &status)) {
-        print_failure("convert", status);
-        return 2;
-      }
-    } else if (!profile::save_domain_history(*history, output, &skipped)) {
-      // The text savers have no status channel; report the write failure
-      // directly instead of echoing the (successful) load status.
-      std::fprintf(stderr, "convert: cannot write %s\n",
-                   output.string().c_str());
-      return 2;
-    }
-    std::printf("converted domain history (%zu domain(s)) to %s %s\n",
-                history->size() - skipped, to_binary ? "binary" : "text",
-                output.string().c_str());
-    if (skipped > 0) {
-      std::fprintf(stderr,
-                   "warning: %zu domain(s) contain characters the text "
-                   "format cannot carry — dropped (keep the binary file if "
-                   "you need them)\n",
-                   skipped);
-    }
-    return 0;
-  }
-  if (is_ua) {
-    const auto history = profile::load_ua_history(input, &status);
-    if (!history) {
-      print_failure("convert", status);
-      return 2;
-    }
-    std::size_t skipped = 0;
-    if (to_binary) {
-      status = {};
-      if (!storage::save_ua_history(*history, output, 1, &status)) {
-        print_failure("convert", status);
-        return 2;
-      }
-    } else if (!profile::save_ua_history(*history, output, &skipped)) {
-      std::fprintf(stderr, "convert: cannot write %s\n",
-                   output.string().c_str());
-      return 2;
-    }
-    std::printf("converted ua history (%zu UA(s)) to %s %s\n",
-                history->distinct_uas() - skipped,
-                to_binary ? "binary" : "text", output.string().c_str());
-    if (skipped > 0) {
-      std::fprintf(stderr,
-                   "warning: %zu UA(s) contain tab/newline characters the "
-                   "text format cannot carry — dropped (keep the binary "
-                   "file if you need them)\n",
-                   skipped);
-    }
-    return 0;
-  }
-  std::fprintf(stderr, "convert: input is neither a domain nor a UA history\n");
-  return 2;
 }
 
 }  // namespace
@@ -588,17 +313,6 @@ int main(int argc, char** argv) {
   if (command == "verify" && argc == 4 &&
       std::strcmp(argv[2], "--deep") == 0) {
     return cmd_verify(argv[3], true);
-  }
-  if (command == "convert" && (argc == 4 || argc == 5)) {
-    bool to_binary = true;
-    if (argc == 5) {
-      if (std::strcmp(argv[4], "--text") == 0) {
-        to_binary = false;
-      } else if (std::strcmp(argv[4], "--binary") != 0) {
-        return usage(argv[0]);
-      }
-    }
-    return cmd_convert(argv[2], argv[3], to_binary);
   }
   return usage(argv[0]);
 }

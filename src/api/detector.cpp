@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -195,25 +195,29 @@ void export_unfinalized_rows(const core::Pipeline& pipeline,
   rows.sim_cols = features::kSimFeatureCount;
 }
 
+storage::TrainingStats training_stats(const core::Pipeline& pipeline) {
+  const core::Pipeline::WhoisTrainingStats whois =
+      pipeline.whois_training_stats();
+  return {whois.age_sum, whois.validity_sum, whois.samples,
+          pipeline.models_ready()};
+}
+
 /// Borrow everything — a daily checkpoint must not deep-copy month-scale
-/// histories just to read them once.
-storage::DetectorStateView make_state_view(
-    const core::Pipeline& pipeline, const std::vector<std::string>& intel,
-    std::size_t days_operated, const storage::TrainingRows* rows) {
-  storage::DetectorStateView state;
+/// histories just to read them once. This is the full-save view; a delta
+/// frame narrows it (save_state_delta).
+storage::StateView make_state_view(const core::Pipeline& pipeline,
+                                   const std::vector<std::string>& intel,
+                                   std::size_t days_operated,
+                                   const storage::TrainingRows* rows) {
+  storage::StateView state;
   state.config = &pipeline.config();
   state.domain_history = &pipeline.domain_history();
   state.ua_history = &pipeline.ua_history();
   state.top_sites = pipeline.top_sites();
   state.cc_model = &pipeline.cc_model();
   state.sim_model = &pipeline.sim_model();
-  const core::Pipeline::WhoisTrainingStats whois =
-      pipeline.whois_training_stats();
-  state.training.whois_age_sum = whois.age_sum;
-  state.training.whois_validity_sum = whois.validity_sum;
-  state.training.whois_samples = whois.samples;
-  state.training.models_ready = pipeline.models_ready();
-  state.intel_domains = &intel;
+  state.training = training_stats(pipeline);
+  state.intel_domains = intel.empty() ? nullptr : &intel;
   state.counters.days_operated = days_operated;
   state.training_rows = rows;
   return state;
@@ -225,7 +229,7 @@ bool Detector::save_state(const std::filesystem::path& path,
                           storage::LoadStatus* status) const {
   storage::TrainingRows rows;
   export_unfinalized_rows(pipeline_, 0, 0, rows);
-  const storage::DetectorStateView state = make_state_view(
+  const storage::StateView state = make_state_view(
       pipeline_, intel_domains_, days_operated_, rows.empty() ? nullptr : &rows);
   const bool ok = storage::save_detector_state(
       state, path, state.config->parallelism.threads, status,
@@ -245,9 +249,9 @@ bool Detector::full_checkpoint(const std::filesystem::path& path,
                                bool degenerate, storage::LoadStatus* status) {
   storage::TrainingRows rows;
   export_unfinalized_rows(pipeline_, 0, 0, rows);
-  const storage::DetectorStateView state = make_state_view(
+  const storage::StateView state = make_state_view(
       pipeline_, intel_domains_, days_operated_, rows.empty() ? nullptr : &rows);
-  const std::string bytes = storage::encode_detector_state(
+  const std::string bytes = storage::encode_state(
       state, pipeline_.config().parallelism.threads, pipeline_.executor());
   if (!storage::write_file_atomic(path, bytes, status)) {
     delta_.active = false;
@@ -288,51 +292,28 @@ bool Detector::save_state_delta(const std::filesystem::path& path,
     return full_checkpoint(path, false, status);
   }
   const core::Pipeline::HistoryDelta hist = pipeline_.drain_history_journal();
-  storage::DeltaInputs inputs;
-  inputs.base_crc = delta_.base_crc;
-  inputs.seq = delta_.next_seq;
-  inputs.day = extras.has_cursor ? extras.cursor_day
-                                 : static_cast<util::Day>(days_operated_);
-  inputs.days_ingested = pipeline_.domain_history().days_ingested();
-  inputs.new_domains = &hist.new_domains;
-  const profile::UaHistory& uas = pipeline_.ua_history();
-  inputs.ua_entries.reserve(hist.touched_uas.size());
-  for (const std::string& ua : hist.touched_uas) {
-    bool popular = false;
-    std::span<const util::InternId> host_ids;
-    if (!uas.entry_view(ua, popular, host_ids)) continue;
-    storage::DeltaUaEntryView entry;
-    entry.ua = ua;
-    entry.popular = popular;
-    entry.hosts.reserve(host_ids.size());
-    for (const util::InternId id : host_ids) {
-      entry.hosts.push_back(uas.host_name(id));
-    }
-    inputs.ua_entries.push_back(std::move(entry));
-  }
-  inputs.config = &pipeline_.config();
-  inputs.cc_model = &pipeline_.cc_model();
-  inputs.sim_model = &pipeline_.sim_model();
-  const core::Pipeline::WhoisTrainingStats whois =
-      pipeline_.whois_training_stats();
-  inputs.training.whois_age_sum = whois.age_sum;
-  inputs.training.whois_validity_sum = whois.validity_sum;
-  inputs.training.whois_samples = whois.samples;
-  inputs.training.models_ready = pipeline_.models_ready();
-  inputs.counters.days_operated = days_operated_;
   storage::TrainingRows rows;
   export_unfinalized_rows(pipeline_, delta_.cc_rows_mark, delta_.sim_rows_mark,
                           rows);
-  if (!rows.empty()) inputs.training_rows = &rows;
-  if (delta_.intel_dirty) inputs.intel_domains = &intel_domains_;
-  if (delta_.top_sites_dirty) inputs.top_sites = pipeline_.top_sites();
-  if (extras.has_cursor) {
-    inputs.has_cursor = true;
-    inputs.cursor_day = extras.cursor_day;
-    inputs.cursor_offset = extras.cursor_offset;
-  }
-  inputs.incidents = extras.incidents;
-  const std::string payload = storage::encode_delta_frame(inputs);
+  storage::FrameView frame;
+  frame.header.base_crc = delta_.base_crc;
+  frame.header.seq = delta_.next_seq;
+  frame.header.day = extras.has_cursor ? extras.cursor_day
+                                       : static_cast<util::Day>(days_operated_);
+  frame.new_domains = &hist.new_domains;
+  frame.touched_uas = &hist.touched_uas;
+  frame.has_cursor = extras.has_cursor;
+  frame.cursor_day = extras.cursor_day;
+  frame.cursor_offset = extras.cursor_offset;
+  frame.incidents = extras.incidents;
+  storage::StateView view = make_state_view(
+      pipeline_, intel_domains_, days_operated_, rows.empty() ? nullptr : &rows);
+  // Intel and the whitelist ride only when they changed; an empty intel
+  // section clears the feed.
+  view.intel_domains = delta_.intel_dirty ? &intel_domains_ : nullptr;
+  view.top_sites = delta_.top_sites_dirty ? pipeline_.top_sites() : nullptr;
+  view.frame = &frame;
+  const std::string payload = storage::encode_state(view);
   if (!storage::append_delta_frame(storage::delta_chain_path(path), payload,
                                    status)) {
     // The drained journal is gone; cold-start the chain so the next save
@@ -415,54 +396,31 @@ void Detector::restore_state(storage::DetectorState state) {
 
 bool Detector::apply_state_delta(const storage::DeltaFrame& frame,
                                  storage::LoadStatus* status) {
-  if (!frame.training_rows.empty() &&
-      ((frame.training_rows.cc_cols != features::kCcFeatureCount &&
-        !frame.training_rows.cc_labels.empty()) ||
-       (frame.training_rows.sim_cols != features::kSimFeatureCount &&
-        !frame.training_rows.sim_labels.empty()))) {
-    storage::set_status(status, storage::LoadError::Malformed,
-                        "delta frame: training-row width does not match this "
-                        "build's feature count");
-    return false;
+  // The replica's state, detached from the pipeline (the histories move,
+  // they are not copied), takes the frame through the same routine a chain
+  // load uses, then goes back in through restore_state(). That also stops
+  // journaling and the chain: a replica must not append to the chain of
+  // whoever wrote these frames; its first post-takeover save full-rewrites.
+  storage::DetectorState state;
+  state.config = pipeline_.config();
+  std::tie(state.domain_history, state.ua_history) =
+      pipeline_.release_histories();
+  if (owned_top_sites_ != nullptr) {
+    state.top_sites = std::move(*owned_top_sites_);
+  } else if (pipeline_.top_sites() != nullptr) {
+    state.top_sites = *pipeline_.top_sites();
   }
-  // A detector applying frames is a replica of whoever wrote them; it must
-  // not also append to that chain (its journals never saw these changes).
-  // The first post-takeover save full-rewrites instead.
-  delta_.active = false;
-  pipeline_.set_history_journaling(false);
-  pipeline_.set_config(frame.config);
-  pipeline_.restore_models(frame.cc_model, frame.sim_model,
-                           frame.training.models_ready);
-  pipeline_.restore_whois_training_stats(
-      {frame.training.whois_age_sum, frame.training.whois_validity_sum,
-       static_cast<std::size_t>(frame.training.whois_samples)});
-  pipeline_.absorb_domain_delta(
-      frame.new_domains, static_cast<std::size_t>(frame.days_ingested));
-  std::vector<std::string_view> host_views;
-  for (const auto& entry : frame.ua_entries) {
-    host_views.assign(entry.hosts.begin(), entry.hosts.end());
-    pipeline_.absorb_ua_entry(
-        entry.ua, entry.popular,
-        std::span<const std::string_view>(host_views.data(),
-                                          host_views.size()));
-  }
-  if (!frame.training_rows.empty()) {
-    (void)pipeline_.import_training_rows(
-        frame.training_rows.cc, frame.training_rows.cc_labels,
-        frame.training_rows.sim, frame.training_rows.sim_labels);
-  }
-  if (frame.training.models_ready) pipeline_.clear_training_rows();
-  if (frame.has_intel) {
-    intel_domains_ = frame.intel_domains;  // frames carry it sorted+unique
-  }
-  if (frame.has_top_sites) {
-    auto sites = std::make_unique<profile::TopSitesList>();
-    for (const std::string& site : frame.top_sites) sites->add(site);
-    owned_top_sites_ = std::move(sites);
-    pipeline_.set_top_sites(owned_top_sites_.get());
-  }
-  days_operated_ = static_cast<std::size_t>(frame.counters.days_operated);
-  return true;
+  state.has_top_sites = pipeline_.top_sites() != nullptr;
+  state.cc_model = pipeline_.cc_model();
+  state.sim_model = pipeline_.sim_model();
+  state.training = training_stats(pipeline_);
+  state.intel_domains = std::move(intel_domains_);
+  state.counters.days_operated = days_operated_;
+  export_unfinalized_rows(pipeline_, 0, 0, state.training_rows);
+  storage::DeltaFrame sections = frame;
+  const bool ok = storage::apply_delta_frame(state, sections, status);
+  restore_state(std::move(state));
+  return ok;
 }
 
 HealthSnapshot Detector::health_snapshot() const {

@@ -119,7 +119,8 @@ class Detector {
     return pipeline_.finalize_training();
   }
 
-  /// Install externally-fit models (core/model_io.h persistence).
+  /// Install externally-fit models (tests, ablations). Checkpoints carry
+  /// the models with everything else (save_state/load_state).
   void set_models(core::ScoredModel cc, core::ScoredModel sim) {
     pipeline_.set_models(std::move(cc), std::move(sim));
   }
@@ -199,8 +200,8 @@ class Detector {
   /// models, top-sites whitelist, intel, config, counters — into one
   /// binary state file (atomic tmp-file + rename). Encoding fans out over
   /// config().parallelism.threads. Returns false with the reason in
-  /// `status` on failure. Note: regression rows of an *unfinalized*
-  /// training run are not carried; checkpoint after finalize_training().
+  /// `status` on failure. Before finalize_training() the accumulated
+  /// regression rows ride along, so a crash mid-training resumes exactly.
   bool save_state(const std::filesystem::path& path,
                   storage::LoadStatus* status = nullptr) const;
 
@@ -243,8 +244,9 @@ class Detector {
                   storage::LoadStatus* status = nullptr);
 
   /// Apply one decoded delta frame to the live detector — the hot-standby
-  /// replica path (rt/standby.h), equivalent to what load_state's chain
-  /// replay does per frame. False + status when the frame does not fit.
+  /// replica path (rt/standby.h), through the same storage routine
+  /// load_state's chain replay uses per frame. False + status (and the
+  /// detector unchanged) when the frame does not fit.
   bool apply_state_delta(const storage::DeltaFrame& frame,
                          storage::LoadStatus* status = nullptr);
 

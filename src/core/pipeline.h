@@ -32,6 +32,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/scorers.h"
@@ -255,8 +256,8 @@ class Pipeline {
   /// Fit the C&C and similarity regressions from the accumulated rows.
   TrainingReport finalize_training();
 
-  /// Install externally-fit models (tests, ablations, or models persisted
-  /// with core/model_io.h).
+  /// Install externally-fit models (tests, ablations, or models restored
+  /// from a checkpoint, storage/state.h).
   void set_models(ScoredModel cc, ScoredModel sim);
 
   /// Install a global-popularity whitelist (§II-A): rare destinations on
@@ -303,6 +304,15 @@ class Pipeline {
     ua_history_ = std::move(uas);
   }
 
+  /// Move both histories out, leaving them empty; restore_histories() puts
+  /// them back. Lets a checkpoint apply work on the month-scale histories
+  /// without copying them.
+  std::pair<profile::DomainHistory, profile::UaHistory> release_histories() {
+    return {std::exchange(domain_history_, {}),
+            std::exchange(ua_history_,
+                          profile::UaHistory(config_.ua_rare_threshold))};
+  }
+
   /// Like set_models(), but also restores whether training had been
   /// finalized when the state was saved.
   void restore_models(ScoredModel cc, ScoredModel sim, bool ready) {
@@ -331,14 +341,14 @@ class Pipeline {
     return {domain_history_.drain_journal(), ua_history_.drain_journal()};
   }
 
-  /// Apply a domain-history delta (standby replica path): insert the
-  /// domains, set the absolute day counter.
+  /// Bulk history building (benchmarks, tests): insert the domains, set
+  /// the absolute day counter.
   void absorb_domain_delta(std::span<const std::string> domains,
                            std::size_t days_ingested) {
     domain_history_.absorb(domains, days_ingested);
   }
 
-  /// Replace one UA entry wholesale (standby replica path).
+  /// Replace one UA entry wholesale (bulk history building).
   void absorb_ua_entry(std::string_view ua, bool popular,
                        std::span<const std::string_view> hosts) {
     ua_history_.restore_entry(ua, popular, hosts);

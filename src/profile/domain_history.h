@@ -49,7 +49,7 @@ class DomainHistory {
     days_ingested_ = days;
   }
 
-  // ---- Delta checkpoints (storage/delta.h) ----
+  // ---- Checkpoints (storage/state.h, storage/delta.h) ----
 
   /// Start (or stop) recording first-seen domains. Turning journaling on
   /// clears any previous journal; it never affects is_new()/update().
@@ -64,11 +64,24 @@ class DomainHistory {
     return std::exchange(journal_, {});
   }
 
-  /// Apply a delta: insert `domains`, set the absolute day counter a frame
-  /// carries. Never journals (deltas are already on disk).
+  /// Insert `domains` and set the absolute day counter (bulk history
+  /// building). Never journals.
   void absorb(std::span<const std::string> domains, std::size_t days_ingested) {
     for (const auto& d : domains) seen_.insert(d);
     days_ingested_ = days_ingested;
+  }
+
+  /// Apply a decoded history section (a whole checkpoint's, or a delta
+  /// frame's new domains): an empty history adopts the set wholesale, a
+  /// non-empty one inserts it; the day counter is taken either way. Never
+  /// journals (the section is already on disk).
+  void absorb(DomainHistory&& section) {
+    if (seen_.empty()) {
+      seen_ = std::move(section.seen_);
+    } else {
+      seen_.merge(section.seen_);
+    }
+    days_ingested_ = section.days_ingested_;
   }
 
  private:

@@ -78,6 +78,19 @@ void UaHistory::restore_entry(std::string_view ua, bool popular,
   restore_entry_ids(ua, popular, std::move(ids));
 }
 
+void UaHistory::absorb(UaHistory&& section) {
+  if (uas_.empty()) {
+    uas_ = std::move(section.uas_);
+    hosts_ = std::move(section.hosts_);
+    rare_threshold_ = section.rare_threshold_;
+    return;
+  }
+  section.for_each_entry([&](const std::string& ua, bool popular,
+                             std::span<const std::string_view> hosts) {
+    restore_entry(ua, popular, hosts);
+  });
+}
+
 void UaHistory::restore_entry_ids(std::string_view ua, bool popular,
                                   std::vector<util::InternId> host_ids) {
   Entry entry;

@@ -86,6 +86,12 @@ class UaHistory {
   void restore_entry(std::string_view ua, bool popular,
                      std::span<const std::string_view> hosts);
 
+  /// Apply a decoded history section (a whole checkpoint's, or a delta
+  /// frame's touched entries): an empty history adopts it wholesale,
+  /// threshold included; a non-empty one replaces each entry it carries.
+  /// Never journals.
+  void absorb(UaHistory&& section);
+
   // ---- Bulk restore (storage/state.h) ----
   // Register each distinct host name once, then add entries referencing
   // the returned ids — the load path never hashes a host name per entry.

@@ -77,8 +77,8 @@ std::size_t StandbyReplica::poll(storage::LoadStatus* status) {
     if (frame.offset < applied_bytes_) continue;  // already replayed
     std::optional<storage::DeltaFrame> decoded =
         storage::decode_delta_frame(frame.payload, &local);
-    const bool fits = decoded && decoded->base_crc == base_crc_ &&
-                      decoded->seq == next_seq_;
+    const bool fits = decoded && decoded->header.base_crc == base_crc_ &&
+                      decoded->header.seq == next_seq_;
     if (!fits || !detector_.apply_state_delta(*decoded, &local)) {
       // A complete, CRC-clean frame that does not continue our replay:
       // the primary compacted (new base CRC, seq restarting at 1) or the

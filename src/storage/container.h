@@ -1,6 +1,5 @@
 // The versioned, sectioned binary container underlying every eid state
-// file. One format carries everything from a single domain history to a
-// full detector checkpoint:
+// file: full detector checkpoints and the payload of every delta frame.
 //
 //   file    := magic(8 = "EIDSTOR1") version(varint) n_sections(varint)
 //              section*
@@ -28,8 +27,8 @@ namespace eid::storage {
 inline constexpr std::string_view kContainerMagic = "EIDSTOR1";
 inline constexpr std::uint64_t kFormatVersion = 1;
 
-/// Section ids used by the detector-state encoder (storage/state.h). The
-/// container layer itself treats ids as opaque.
+/// Section ids used by the state encoder (storage/state.h). The container
+/// layer itself treats ids as opaque.
 enum class SectionId : std::uint64_t {
   StringTable = 1,    ///< shared interned string table (all other sections
                       ///< reference strings by index into it)
@@ -45,10 +44,9 @@ enum class SectionId : std::uint64_t {
   TrainingRows = 11,  ///< unfinalized regression rows (mid-training resume)
   RtCursor = 12,      ///< rt tail cursor (day + byte offset) for failover
   Incidents = 13,     ///< cross-day incident-store snapshot
-  // 20+ appear only inside EIDDELT1 delta frames (storage/delta.h).
+  // Only inside EIDDELT1 delta frames (storage/delta.h). Ids 21 and 22
+  // belonged to a retired frame layout and are never reused.
   DeltaHeader = 20,   ///< base checkpoint id + frame sequence number + day
-  DomainDelta = 21,   ///< domains first seen since the previous frame
-  UaDelta = 22,       ///< UA entries touched since the previous frame
 };
 
 /// Accumulates sections, then renders the full container byte stream.
@@ -85,11 +83,6 @@ class ContainerReader {
  private:
   std::vector<Section> sections_;
 };
-
-/// True when the bytes begin with the binary container magic — the
-/// format auto-detection hook for entry points that also accept the
-/// legacy text formats.
-bool looks_like_container(std::string_view bytes);
 
 /// Read a whole file (binary mode). nullopt + status on failure.
 std::optional<std::string> read_file(const std::filesystem::path& path,

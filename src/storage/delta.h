@@ -10,14 +10,16 @@
 //              crc32(u32le, over payload)
 //   payload := a standard EIDSTOR1 container (storage/container.h)
 //
-// Each frame is a complete container with its own frame-local string
-// table, a DeltaHeader section binding it to one specific base checkpoint
-// (the CRC-32 of the base file's bytes) and one position in the chain
-// (seq: 1, 2, ...), plus the day's changes: domains first seen, UA entries
-// touched (absolute replacements), the always-small absolute sections
+// A frame payload is written by the same encoder as a full checkpoint
+// (storage::encode_state with a FrameView): a DeltaHeader section binding
+// it to one specific base checkpoint (the CRC-32 of the base file's bytes)
+// and one position in the chain (seq: 1, 2, ...), then the full-save
+// sections with the histories narrowed to the day's growth — domains
+// first seen, UA entries touched — the always-small absolute sections
 // (config, models, training stats, counters), training rows appended since
 // the previous frame, and — when present — the rt tail cursor and the
-// incident-store snapshot a hot standby needs to take over.
+// incident-store snapshot a hot standby needs to take over. Frames decode
+// with storage::decode_delta_frame and apply with storage::apply_delta_frame.
 //
 // Recovery contract: a torn tail (crash mid-append) is detected by the
 // frame CRC and truncated by the next append; a frame whose base CRC or
@@ -33,7 +35,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/incidents.h"
 #include "storage/state.h"
 
 namespace eid::storage {
@@ -42,75 +43,6 @@ inline constexpr std::string_view kDeltaMagic = "EIDDELT1";
 
 /// Chain file next to a full checkpoint: "<path>.delta".
 std::filesystem::path delta_chain_path(const std::filesystem::path& path);
-
-/// One UA entry for encoding, borrowed from a live UaHistory.
-struct DeltaUaEntryView {
-  std::string_view ua;
-  bool popular = false;
-  std::vector<std::string_view> hosts;  ///< empty when popular
-};
-
-/// Borrowed inputs for one frame (the daily save path never copies the
-/// month-scale histories). Pointers may be null only where noted.
-struct DeltaInputs {
-  std::uint32_t base_crc = 0;  ///< CRC-32 of the base checkpoint file bytes
-  std::uint64_t seq = 0;       ///< 1 for the first frame after a full save
-  std::int64_t day = 0;        ///< day the frame was written for
-  std::uint64_t days_ingested = 0;  ///< absolute DomainHistory day counter
-  const std::vector<std::string>* new_domains = nullptr;  ///< required
-  std::vector<DeltaUaEntryView> ua_entries;
-  const core::PipelineConfig* config = nullptr;   ///< required
-  const core::ScoredModel* cc_model = nullptr;    ///< required
-  const core::ScoredModel* sim_model = nullptr;   ///< required
-  TrainingStats training{};
-  Counters counters{};
-  const TrainingRows* training_rows = nullptr;  ///< rows since previous frame
-  const std::vector<std::string>* intel_domains = nullptr;  ///< when changed
-  const profile::TopSitesList* top_sites = nullptr;         ///< when changed
-  bool has_cursor = false;
-  std::int64_t cursor_day = 0;       ///< day the tail cursor points into
-  std::uint64_t cursor_offset = 0;   ///< byte offset into that day's log
-  const core::IncidentStore* incidents = nullptr;  ///< when tracking incidents
-};
-
-/// One decoded frame (owning).
-struct DeltaFrame {
-  std::uint32_t base_crc = 0;
-  std::uint64_t seq = 0;
-  std::int64_t day = 0;
-  std::uint64_t days_ingested = 0;
-  std::vector<std::string> new_domains;
-  struct UaEntry {
-    std::string ua;
-    bool popular = false;
-    std::vector<std::string> hosts;
-  };
-  std::vector<UaEntry> ua_entries;
-  core::PipelineConfig config{};
-  core::ScoredModel cc_model{};
-  core::ScoredModel sim_model{};
-  TrainingStats training{};
-  Counters counters{};
-  TrainingRows training_rows{};  ///< rows to append, may be empty
-  bool has_intel = false;
-  std::vector<std::string> intel_domains;
-  bool has_top_sites = false;
-  std::vector<std::string> top_sites;
-  bool has_cursor = false;
-  std::int64_t cursor_day = 0;
-  std::uint64_t cursor_offset = 0;
-  bool has_incidents = false;
-  int incidents_next_id = 0;
-  std::vector<core::Incident> incidents;
-};
-
-/// Encode one frame payload (an EIDSTOR1 container; the caller wraps it
-/// in the frame header via append_delta_frame).
-std::string encode_delta_frame(const DeltaInputs& inputs);
-
-/// Decode a frame payload. nullopt + status on any failure.
-std::optional<DeltaFrame> decode_delta_frame(std::string_view payload,
-                                             LoadStatus* status = nullptr);
 
 /// Append one encoded frame to the chain, truncating any torn tail a
 /// previous crash left first, then fsyncing. On failure the chain holds at
@@ -136,12 +68,6 @@ struct DeltaChainInfo {
 /// read failure returns false with `status`.
 bool read_delta_chain(const std::filesystem::path& chain_path,
                       DeltaChainInfo& info, LoadStatus* status = nullptr);
-
-/// Apply one decoded frame on top of a detector state. False + status when
-/// the frame's contents do not fit the state (e.g. training-row column
-/// mismatch) — the state may be partially updated and should be discarded.
-bool apply_delta_frame(DetectorState& state, const DeltaFrame& frame,
-                       LoadStatus* status = nullptr);
 
 /// What a chain-aware load did, for logging and for resuming the chain.
 struct ChainLoadReport {

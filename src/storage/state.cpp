@@ -2,33 +2,97 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "features/cc_features.h"
+#include "features/similarity_features.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/encoding.h"
 #include "util/binary.h"
 #include "util/executor.h"
 
-// The encoding primitives live in storage::detail (declared in
-// storage/encoding.h) so the delta-chain encoder (storage/delta.cpp)
-// assembles frames from the exact same codecs the full checkpoint uses.
 namespace eid::storage {
-namespace detail {
 namespace {
 
 // Front-coding restarts every this many table entries, independent of the
 // thread count, so the encoded bytes are identical for any parallelism.
 constexpr std::size_t kFrontCodeBlock = 1024;
 
-}  // namespace
+// Older delta frames carried the day's histories in their own layout under
+// these ids, instead of in sections 3/4. That layout is no longer decoded;
+// the ids are never reused.
+constexpr std::uint64_t kRetiredDomainDelta = 21;
+constexpr std::uint64_t kRetiredUaDelta = 22;
 
-StringTable sorted_unique(std::vector<std::string_view> strings) {
-  std::sort(strings.begin(), strings.end());
-  strings.erase(std::unique(strings.begin(), strings.end()), strings.end());
-  return strings;
-}
+// ---- String table ----
+
+using StringTable = std::vector<std::string_view>;
+
+/// Tickets [first, last) of strings added to a TableBuilder together.
+struct TicketRange {
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+};
+
+/// Builds a container's string table from every string its sections
+/// reference. add() hands out a ticket per occurrence; build() sorts once,
+/// drops duplicates and resolves every ticket to its table id, so no
+/// string is hashed or looked up by value. Ids follow the table's sort
+/// order, so id order == lexicographic order and encoded bytes are stable.
+class TableBuilder {
+ public:
+  std::uint32_t add(std::string_view text) {
+    const auto ticket = static_cast<std::uint32_t>(entries_.size());
+    entries_.push_back({text, ticket});
+    return ticket;
+  }
+
+  template <typename Strings>
+  TicketRange add_all(const Strings& strings) {
+    TicketRange range{static_cast<std::uint32_t>(entries_.size()), 0};
+    for (const auto& text : strings) add(text);
+    range.last = static_cast<std::uint32_t>(entries_.size());
+    return range;
+  }
+
+  void build() {
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry& a, const Entry& b) { return a.text < b.text; });
+    ids_.resize(entries_.size());
+    for (const Entry& entry : entries_) {
+      if (table_.empty() || table_.back() != entry.text) {
+        table_.push_back(entry.text);
+      }
+      ids_[entry.ticket] = static_cast<std::uint32_t>(table_.size() - 1);
+    }
+    entries_ = {};
+  }
+
+  /// Table id of a ticket; valid after build().
+  std::uint32_t id(std::uint32_t ticket) const { return ids_[ticket]; }
+  const StringTable& table() const { return table_; }
+
+ private:
+  struct Entry {
+    std::string_view text;
+    std::uint32_t ticket;
+  };
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> ids_;
+  StringTable table_;
+};
+
+/// Decoded string table: all strings expanded into one arena, referenced
+/// by (offset, length) spans.
+struct DecodedTable {
+  std::string arena;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
+
+  std::size_t size() const { return spans.size(); }
+  std::string_view view(std::uint64_t i) const {
+    const auto [offset, length] = spans[static_cast<std::size_t>(i)];
+    return std::string_view(arena).substr(offset, length);
+  }
+};
 
 std::size_t common_prefix(std::string_view a, std::string_view b) {
   const std::size_t cap = std::min(a.size(), b.size());
@@ -95,9 +159,7 @@ bool decode_string_table(std::string_view payload, DecodedTable& table,
                "string table: count exceeds payload size");
     return false;
   }
-  table.arena.clear();
   table.arena.reserve(payload.size() * 2);
-  table.spans.clear();
   table.spans.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t prefix = 0;
@@ -142,6 +204,8 @@ bool decode_string_table(std::string_view payload, DecodedTable& table,
   return true;
 }
 
+// ---- Id runs and string sets ----
+
 /// Ascending id sequence as first-id + deltas (sorted sets reference the
 /// sorted table, so deltas are small).
 void encode_id_run(util::ByteWriter& out, const std::vector<std::uint64_t>& ids) {
@@ -174,53 +238,118 @@ bool decode_id_run(util::ByteReader& in, std::uint64_t count,
   return true;
 }
 
-/// Table ids of `strings`, ascending. Sorting the integer ids gives the
-/// same order the old sort-strings-then-look-up did (ids are assigned in
-/// table sort order) without any string comparisons.
-std::vector<std::uint64_t> sorted_ids(const TableIndex& index,
-                                      const std::vector<std::string_view>& strings) {
+/// A set of table strings: count(varint) + id run. The ids are sorted and
+/// deduplicated here, so a caller's duplicate strings (a hand-built intel
+/// list, say) still encode as a run the decoder accepts. Sorting the
+/// integer ids gives table (= string) order without string comparisons.
+void encode_string_set(util::ByteWriter& out, const TableBuilder& strings,
+                       TicketRange tickets) {
   std::vector<std::uint64_t> ids;
-  ids.reserve(strings.size());
-  for (const std::string_view text : strings) {
-    ids.push_back(index.id(text));
+  ids.reserve(tickets.last - tickets.first);
+  for (std::uint32_t t = tickets.first; t < tickets.last; ++t) {
+    ids.push_back(strings.id(t));
   }
   std::sort(ids.begin(), ids.end());
-  return ids;
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  out.varint(ids.size());
+  encode_id_run(out, ids);
 }
 
-// ---- Domain history ----
-
-std::vector<std::string_view> domain_views(
-    const profile::DomainHistory& history) {
-  std::vector<std::string_view> views;
-  views.reserve(history.size());
-  for (const std::string& domain : history.domains()) views.push_back(domain);
-  return views;
+bool decode_string_set(util::ByteReader& in, const DecodedTable& table,
+                       std::vector<std::uint64_t>& ids) {
+  std::uint64_t count = 0;
+  return in.varint(count) && decode_id_run(in, count, table.size(), ids);
 }
 
-std::string encode_domain_history_section(const profile::DomainHistory& history,
-                                          const TableIndex& index) {
+// ---- The histories a view carries (whole, or a frame's growth) ----
+
+TicketRange add_domains(const StateView& view, TableBuilder& strings) {
+  if (view.frame != nullptr) return strings.add_all(*view.frame->new_domains);
+  return strings.add_all(view.domain_history->domains());
+}
+
+/// Visit the UA entries a view carries: fn(ua, popular, host_ids), host
+/// ids indexing ua_history->host_name().
+template <typename Fn>
+void for_each_ua_entry(const StateView& view, Fn&& fn) {
+  const profile::UaHistory& history = *view.ua_history;
+  if (view.frame == nullptr) {
+    history.for_each_entry_ids(fn);
+    return;
+  }
+  for (const std::string& ua : *view.frame->touched_uas) {
+    bool popular = false;
+    std::span<const util::InternId> host_ids;
+    if (history.entry_view(ua, popular, host_ids)) fn(ua, popular, host_ids);
+  }
+}
+
+/// Section 4's entries as table tickets: per entry the UA's ticket and a
+/// range into one flat host-ticket array (O(1) allocations, not one per
+/// UA). encode_ua_section() resolves them to table ids in place.
+struct UaEntries {
+  struct Entry {
+    std::uint32_t ua = 0;
+    std::uint32_t hosts_begin = 0;
+    std::uint32_t hosts_count = 0;
+    bool popular = false;
+  };
+  std::vector<Entry> entries;
+  std::vector<std::uint32_t> hosts;
+};
+
+UaEntries add_ua_entries(const StateView& view, TableBuilder& strings) {
+  const profile::UaHistory& history = *view.ua_history;
+  // Each distinct host enters the table once, however many entries share
+  // it — hosts repeat across thousands of entries.
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::vector<std::uint32_t> host_ticket(history.distinct_hosts(), kNone);
+  UaEntries out;
+  if (view.frame == nullptr) {
+    out.entries.reserve(history.distinct_uas());
+    out.hosts.reserve(history.distinct_uas() * 4);
+  }
+  for_each_ua_entry(view, [&](const std::string& ua, bool popular,
+                              std::span<const util::InternId> host_ids) {
+    UaEntries::Entry entry;
+    entry.ua = strings.add(ua);
+    entry.popular = popular;
+    entry.hosts_begin = static_cast<std::uint32_t>(out.hosts.size());
+    entry.hosts_count = static_cast<std::uint32_t>(host_ids.size());
+    for (const util::InternId id : host_ids) {
+      if (host_ticket[id] == kNone) {
+        host_ticket[id] = strings.add(history.host_name(id));
+      }
+      out.hosts.push_back(host_ticket[id]);
+    }
+    out.entries.push_back(entry);
+  });
+  return out;
+}
+
+// ---- Section 3: domain history ----
+
+std::string encode_domain_section(std::uint64_t days_ingested,
+                                  const TableBuilder& strings,
+                                  TicketRange domains) {
   util::ByteWriter out;
-  out.reserve(history.size() * 3 + 20);
-  out.varint(history.days_ingested());
-  out.varint(history.size());
-  encode_id_run(out, sorted_ids(index, domain_views(history)));
+  out.reserve((domains.last - domains.first) * 3 + 20);
+  out.varint(days_ingested);
+  encode_string_set(out, strings, domains);
   return out.take();
 }
 
-bool decode_domain_history_section(std::string_view payload,
-                                   const DecodedTable& table,
-                                   profile::DomainHistory& history,
-                                   LoadStatus* status) {
+bool decode_domain_section(std::string_view payload, const DecodedTable& table,
+                           profile::DomainHistory& history,
+                           LoadStatus* status) {
   util::ByteReader in(payload);
   std::uint64_t days = 0;
-  std::uint64_t count = 0;
-  if (!in.varint(days) || !in.varint(count)) {
+  if (!in.varint(days)) {
     set_status(status, LoadError::Truncated, "domain history: header cut short");
     return false;
   }
   std::vector<std::uint64_t> ids;
-  if (!decode_id_run(in, count, table.size(), ids) || !in.at_end()) {
+  if (!decode_string_set(in, table, ids) || !in.at_end()) {
     set_status(status, LoadError::Malformed,
                "domain history: bad domain id sequence");
     return false;
@@ -232,78 +361,34 @@ bool decode_domain_history_section(std::string_view payload,
   return true;
 }
 
-// ---- UA history ----
+// ---- Section 4: UA history ----
 
-struct UaEntryIds {
-  std::uint64_t ua_id = 0;  ///< table id; id order == UA string order
-  std::uint32_t hosts_begin = 0;  ///< range into a shared flat id array
-  std::uint32_t hosts_count = 0;
-  bool popular = false;
-};
-
-std::vector<std::string_view> ua_views(const profile::UaHistory& history) {
-  std::vector<std::string_view> views;
-  std::vector<bool> seen(history.distinct_hosts(), false);
-  history.for_each_entry_ids([&](const std::string& ua, bool,
-                                 std::span<const util::InternId> host_ids) {
-    views.push_back(ua);
-    for (const util::InternId id : host_ids) {
-      if (!seen[id]) {
-        seen[id] = true;
-        views.push_back(history.host_name(id));
-      }
-    }
-  });
-  return views;
-}
-
-std::string encode_ua_history_section(const profile::UaHistory& history,
-                                      const TableIndex& index) {
-  // Resolve each distinct host to its table id once (lazily), not per
-  // entry — hosts repeat across thousands of entries. Per-entry host id
-  // lists live in one flat array (entries only hold ranges), so the whole
-  // encode performs O(1) heap allocations, not one per UA.
-  constexpr std::uint64_t kUnresolved = ~std::uint64_t{0};
-  std::vector<std::uint64_t> host_table(history.distinct_hosts(), kUnresolved);
-  std::vector<UaEntryIds> entries;
-  std::vector<std::uint64_t> flat_host_ids;
-  entries.reserve(history.distinct_uas());
-  flat_host_ids.reserve(history.distinct_uas() * 4);
-  history.for_each_entry_ids([&](const std::string& ua, bool popular,
-                                 std::span<const util::InternId> host_ids) {
-    UaEntryIds entry;
-    entry.ua_id = index.id(ua);
-    entry.popular = popular;
-    entry.hosts_begin = static_cast<std::uint32_t>(flat_host_ids.size());
-    for (const util::InternId id : host_ids) {
-      if (host_table[id] == kUnresolved) {
-        host_table[id] = index.id(history.host_name(id));
-      }
-      flat_host_ids.push_back(host_table[id]);
-    }
-    entry.hosts_count =
-        static_cast<std::uint32_t>(flat_host_ids.size()) - entry.hosts_begin;
-    std::sort(flat_host_ids.begin() + entry.hosts_begin, flat_host_ids.end());
-    entries.push_back(entry);
-  });
+std::string encode_ua_section(std::size_t rare_threshold, UaEntries ua,
+                              const TableBuilder& strings) {
+  for (std::uint32_t& host : ua.hosts) host = strings.id(host);
+  for (UaEntries::Entry& entry : ua.entries) {
+    entry.ua = strings.id(entry.ua);
+    const auto first = ua.hosts.begin() + entry.hosts_begin;
+    std::sort(first, first + entry.hosts_count);
+  }
   // Table ids sort exactly like the strings they name.
-  std::sort(entries.begin(), entries.end(),
-            [](const UaEntryIds& a, const UaEntryIds& b) {
-              return a.ua_id < b.ua_id;
+  std::sort(ua.entries.begin(), ua.entries.end(),
+            [](const UaEntries::Entry& a, const UaEntries::Entry& b) {
+              return a.ua < b.ua;
             });
 
   util::ByteWriter out;
-  out.reserve(entries.size() * 8 + flat_host_ids.size() * 4 + 20);
-  out.varint(history.rare_threshold());
-  out.varint(entries.size());
-  for (const UaEntryIds& entry : entries) {
-    out.varint(entry.ua_id);
+  out.reserve(ua.entries.size() * 8 + ua.hosts.size() * 4 + 20);
+  out.varint(rare_threshold);
+  out.varint(ua.entries.size());
+  for (const UaEntries::Entry& entry : ua.entries) {
+    out.varint(entry.ua);
     out.u8(entry.popular ? 1 : 0);
     if (entry.popular) continue;  // host set dropped once popular
     out.varint(entry.hosts_count);
     std::uint64_t prev = 0;
     for (std::uint32_t i = 0; i < entry.hosts_count; ++i) {
-      const std::uint64_t id = flat_host_ids[entry.hosts_begin + i];
+      const std::uint64_t id = ua.hosts[entry.hosts_begin + i];
       out.varint(id - prev);
       prev = id;
     }
@@ -311,10 +396,8 @@ std::string encode_ua_history_section(const profile::UaHistory& history,
   return out.take();
 }
 
-bool decode_ua_history_section(std::string_view payload,
-                               const DecodedTable& table,
-                               std::optional<profile::UaHistory>& history,
-                               LoadStatus* status) {
+bool decode_ua_section(std::string_view payload, const DecodedTable& table,
+                       profile::UaHistory& history, LoadStatus* status) {
   util::ByteReader in(payload);
   std::uint64_t threshold = 0;
   std::uint64_t count = 0;
@@ -326,8 +409,8 @@ bool decode_ua_history_section(std::string_view payload,
     set_status(status, LoadError::Malformed, "ua history: zero rare threshold");
     return false;
   }
-  history.emplace(static_cast<std::size_t>(threshold));
-  history->reserve_uas(static_cast<std::size_t>(
+  history = profile::UaHistory(static_cast<std::size_t>(threshold));
+  history.reserve_uas(static_cast<std::size_t>(
       std::min<std::uint64_t>(count, in.remaining())));
   // Lazy table-id -> intern-id map: each distinct host name is registered
   // (hashed) exactly once, no matter how many entries reference it.
@@ -359,13 +442,13 @@ bool decode_ua_history_section(std::string_view payload,
       interned.reserve(host_ids.size());
       for (const std::uint64_t id : host_ids) {
         if (host_intern[id] == util::kInvalidInternId) {
-          host_intern[id] = history->restore_host(table.view(id));
+          host_intern[id] = history.restore_host(table.view(id));
         }
         interned.push_back(host_intern[id]);
       }
     }
-    history->restore_entry_ids(table.view(ua_id), flags == 1,
-                               std::move(interned));
+    history.restore_entry_ids(table.view(ua_id), flags == 1,
+                              std::move(interned));
   }
   if (!in.at_end()) {
     set_status(status, LoadError::Malformed,
@@ -375,14 +458,13 @@ bool decode_ua_history_section(std::string_view payload,
   return true;
 }
 
-// ---- Plain string-set sections (top sites, intel) ----
+// ---- Sections 5 and 9: top sites, intel ----
 
-std::string encode_string_set_section(const std::vector<std::string_view>& strings,
-                                      const TableIndex& index) {
+std::string encode_string_set_section(const TableBuilder& strings,
+                                      TicketRange tickets) {
   util::ByteWriter out;
-  out.reserve(strings.size() * 3 + 10);
-  out.varint(strings.size());
-  encode_id_run(out, sorted_ids(index, strings));
+  out.reserve((tickets.last - tickets.first) * 3 + 10);
+  encode_string_set(out, strings, tickets);
   return out.take();
 }
 
@@ -391,14 +473,8 @@ bool decode_string_set_section(std::string_view payload,
                                std::vector<std::string>& out,
                                LoadStatus* status) {
   util::ByteReader in(payload);
-  std::uint64_t count = 0;
-  if (!in.varint(count)) {
-    set_status(status, LoadError::Truncated,
-               std::string(what) + ": count cut short");
-    return false;
-  }
   std::vector<std::uint64_t> ids;
-  if (!decode_id_run(in, count, table.size(), ids) || !in.at_end()) {
+  if (!decode_string_set(in, table, ids) || !in.at_end()) {
     set_status(status, LoadError::Malformed,
                std::string(what) + ": bad id sequence");
     return false;
@@ -409,14 +485,7 @@ bool decode_string_set_section(std::string_view payload,
   return true;
 }
 
-std::vector<std::string_view> top_site_views(const profile::TopSitesList& sites) {
-  std::vector<std::string_view> views;
-  views.reserve(sites.size());
-  for (const std::string& site : sites.sites()) views.push_back(site);
-  return views;
-}
-
-// ---- Config ----
+// ---- Section 2: config ----
 
 std::string encode_config_section(const core::PipelineConfig& config) {
   util::ByteWriter out;
@@ -473,7 +542,7 @@ bool decode_config_section(std::string_view payload,
   return true;
 }
 
-// ---- Scored models ----
+// ---- Sections 6/7: scored models ----
 
 void encode_doubles(util::ByteWriter& out, const std::vector<double>& values) {
   out.varint(values.size());
@@ -530,7 +599,8 @@ bool decode_model_section(std::string_view payload, const char* what,
                std::string(what) + ": section cut short");
     return false;
   }
-  // The consistency bounds core::parse_scored_model enforces.
+  // A model must be able to score: a zero scale divides by zero, and the
+  // scaler bounds must cover every weight.
   if (model.score_scale == 0.0 || mins.size() != maxs.size() ||
       mins.size() != model.model.weights.size()) {
     set_status(status, LoadError::Malformed,
@@ -542,7 +612,7 @@ bool decode_model_section(std::string_view payload, const char* what,
   return true;
 }
 
-// ---- Training stats / counters ----
+// ---- Sections 8 and 10: training stats, counters ----
 
 std::string encode_training_section(const TrainingStats& training) {
   util::ByteWriter out;
@@ -571,9 +641,23 @@ bool decode_training_section(std::string_view payload, TrainingStats& training,
   return true;
 }
 
-// ---- Unfinalized training rows (mid-training crash resume) ----
+std::string encode_counters_section(const Counters& counters) {
+  util::ByteWriter out;
+  out.varint(counters.days_operated);
+  return out.take();
+}
 
-namespace {
+bool decode_counters_section(std::string_view payload, Counters& counters,
+                             LoadStatus* status) {
+  util::ByteReader in(payload);
+  if (!in.varint(counters.days_operated) || !in.at_end()) {
+    set_status(status, LoadError::Truncated, "counters: section cut short");
+    return false;
+  }
+  return true;
+}
+
+// ---- Section 11: unfinalized training rows (mid-training crash resume) ----
 
 void encode_matrix(util::ByteWriter& out, std::uint64_t cols,
                    const std::vector<double>& values,
@@ -625,8 +709,6 @@ bool decode_matrix(util::ByteReader& in, const char* what, std::uint64_t& cols,
   return true;
 }
 
-}  // namespace
-
 std::string encode_training_rows_section(const TrainingRows& rows) {
   util::ByteWriter out;
   out.reserve((rows.cc.size() + rows.cc_labels.size() + rows.sim.size() +
@@ -655,204 +737,243 @@ bool decode_training_rows_section(std::string_view payload, TrainingRows& rows,
   return true;
 }
 
-std::string encode_counters_section(const Counters& counters) {
+// ---- Frame-only sections: 20 delta header, 12 rt cursor, 13 incidents ----
+
+std::string encode_header_section(const DeltaHeader& header) {
   util::ByteWriter out;
-  out.varint(counters.days_operated);
+  out.u32le(header.base_crc);
+  out.varint(header.seq);
+  out.varint(static_cast<std::uint64_t>(header.day));
   return out.take();
 }
 
-bool decode_counters_section(std::string_view payload, Counters& counters,
-                             LoadStatus* status) {
+bool decode_header_section(std::string_view payload, DeltaHeader& header,
+                           LoadStatus* status) {
   util::ByteReader in(payload);
-  if (!in.varint(counters.days_operated) || !in.at_end()) {
-    set_status(status, LoadError::Truncated, "counters: section cut short");
+  std::uint64_t day = 0;
+  if (!in.u32le(header.base_crc) || !in.varint(header.seq) ||
+      !in.varint(day) || !in.at_end()) {
+    set_status(status, LoadError::Truncated, "delta header: cut short");
     return false;
   }
+  if (header.seq == 0) {
+    set_status(status, LoadError::Malformed, "delta header: zero seq");
+    return false;
+  }
+  header.day = static_cast<std::int64_t>(day);
   return true;
 }
 
-// ---- Shared container scaffolding ----
+std::string encode_cursor_section(const FrameView& frame) {
+  util::ByteWriter out;
+  out.varint(static_cast<std::uint64_t>(frame.cursor_day));
+  out.varint(frame.cursor_offset);
+  return out.take();
+}
 
-const Section* require_section(const ContainerReader& reader, SectionId id,
-                               const char* what, LoadStatus* status) {
-  const Section* section = reader.find(id);
-  if (section == nullptr) {
+bool decode_cursor_section(std::string_view payload, DeltaFrame& frame,
+                           LoadStatus* status) {
+  util::ByteReader in(payload);
+  std::uint64_t day = 0;
+  if (!in.varint(day) || !in.varint(frame.cursor_offset) || !in.at_end()) {
+    set_status(status, LoadError::Truncated, "rt cursor: cut short");
+    return false;
+  }
+  frame.cursor_day = static_cast<std::int64_t>(day);
+  frame.has_cursor = true;
+  return true;
+}
+
+/// One incident's domain and host tickets.
+struct IncidentTickets {
+  TicketRange domains;
+  TicketRange hosts;
+};
+
+std::string encode_incidents_section(
+    int next_id, const std::vector<core::Incident>& incidents,
+    const std::vector<IncidentTickets>& tickets, const TableBuilder& strings) {
+  util::ByteWriter out;
+  out.varint(static_cast<std::uint64_t>(next_id));
+  out.varint(incidents.size());
+  for (std::size_t i = 0; i < incidents.size(); ++i) {
+    const core::Incident& incident = incidents[i];
+    out.varint(static_cast<std::uint64_t>(incident.id));
+    out.varint(static_cast<std::uint64_t>(incident.first_seen));
+    out.varint(static_cast<std::uint64_t>(incident.last_seen));
+    out.varint(incident.days_active);
+    out.varint(static_cast<std::uint64_t>(incident.first_evidence));
+    out.varint(static_cast<std::uint64_t>(incident.last_evidence));
+    encode_string_set(out, strings, tickets[i].domains);
+    encode_string_set(out, strings, tickets[i].hosts);
+  }
+  return out.take();
+}
+
+bool decode_incidents_section(std::string_view payload,
+                              const DecodedTable& table, DeltaFrame& frame,
+                              LoadStatus* status) {
+  util::ByteReader in(payload);
+  std::uint64_t next_id = 0;
+  std::uint64_t count = 0;
+  if (!in.varint(next_id) || !in.varint(count)) {
+    set_status(status, LoadError::Truncated, "incidents: header cut short");
+    return false;
+  }
+  if (next_id > (1u << 30) || count > in.remaining()) {
+    set_status(status, LoadError::Malformed, "incidents: counts too large");
+    return false;
+  }
+  frame.incidents_next_id = static_cast<int>(next_id);
+  frame.incidents.reserve(static_cast<std::size_t>(count));
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto bad = [&](const char* what) {
+      set_status(status, LoadError::Malformed,
+                 "incidents: entry " + std::to_string(i) + ": " + what);
+      return false;
+    };
+    std::uint64_t id = 0;
+    std::uint64_t first_seen = 0;
+    std::uint64_t last_seen = 0;
+    std::uint64_t days_active = 0;
+    std::uint64_t first_evidence = 0;
+    std::uint64_t last_evidence = 0;
+    if (!in.varint(id) || !in.varint(first_seen) || !in.varint(last_seen) ||
+        !in.varint(days_active) || !in.varint(first_evidence) ||
+        !in.varint(last_evidence)) {
+      return bad("cut short");
+    }
+    if (id >= next_id) return bad("id at or past next_id");
+    core::Incident incident;
+    incident.id = static_cast<int>(id);
+    incident.first_seen = static_cast<util::Day>(first_seen);
+    incident.last_seen = static_cast<util::Day>(last_seen);
+    incident.days_active = static_cast<std::size_t>(days_active);
+    incident.first_evidence = static_cast<util::TimePoint>(first_evidence);
+    incident.last_evidence = static_cast<util::TimePoint>(last_evidence);
+    if (!decode_string_set(in, table, ids)) return bad("bad domain id sequence");
+    for (const std::uint64_t d : ids) incident.domains.emplace(table.view(d));
+    if (!decode_string_set(in, table, ids)) return bad("bad host id sequence");
+    for (const std::uint64_t h : ids) incident.hosts.emplace(table.view(h));
+    frame.incidents.push_back(std::move(incident));
+  }
+  if (!in.at_end()) {
+    set_status(status, LoadError::Malformed,
+               "incidents: trailing bytes after the last entry");
+    return false;
+  }
+  frame.has_incidents = true;
+  return true;
+}
+
+// ---- The one decoder ----
+
+/// Decode every section of one container into `out`: a full checkpoint
+/// (`is_frame` false) or a delta frame (header required, cursor and
+/// incidents decoded).
+bool decode_sections(std::string_view bytes, bool is_frame, DeltaFrame& out,
+                     LoadStatus* status) {
+  const auto reader = ContainerReader::parse(bytes, status);
+  if (!reader) return false;
+  for (const Section& section : reader->sections()) {
+    if (section.id == kRetiredDomainDelta || section.id == kRetiredUaDelta) {
+      set_status(status, LoadError::UnsupportedVersion,
+                 "retired delta-frame layout (sections 21/22); compact the "
+                 "chain with the release that wrote it");
+      return false;
+    }
+  }
+  const Section* header = reader->find(SectionId::DeltaHeader);
+  if (is_frame && header == nullptr) {
     set_status(status, LoadError::MissingSection,
-               std::string(what) + " section missing");
+               "delta header section missing");
+    return false;
   }
-  return section;
-}
-
-/// Parse the container and decode its string table — the common prologue
-/// of every load path.
-std::optional<ContainerReader> open_container(std::string_view bytes,
-                                              DecodedTable& table,
-                                              LoadStatus* status) {
-  auto reader = ContainerReader::parse(bytes, status);
-  if (!reader) return std::nullopt;
-  const Section* strings =
-      require_section(*reader, SectionId::StringTable, "string table", status);
-  if (strings == nullptr) return std::nullopt;
-  if (!decode_string_table(strings->payload, table, status)) return std::nullopt;
-  return reader;
-}
-
-}  // namespace detail
-
-using namespace detail;
-
-namespace {
-
-bool save_container(const ContainerWriter& writer,
-                    const std::filesystem::path& path, LoadStatus* status) {
-  return write_file_atomic(path, writer.encode(), status);
-}
-
-}  // namespace
-
-// ---- Full detector state ----
-
-DetectorStateView view_of(const DetectorState& state) {
-  DetectorStateView view;
-  view.config = &state.config;
-  view.domain_history = &state.domain_history;
-  view.ua_history = &state.ua_history;
-  view.top_sites = state.has_top_sites ? &state.top_sites : nullptr;
-  view.cc_model = &state.cc_model;
-  view.sim_model = &state.sim_model;
-  view.training = state.training;
-  view.intel_domains = &state.intel_domains;
-  view.counters = state.counters;
-  view.training_rows = &state.training_rows;
-  return view;
-}
-
-std::string encode_detector_state(const DetectorStateView& state,
-                                  std::size_t n_threads,
-                                  util::Executor* executor) {
-  const bool has_intel =
-      state.intel_domains != nullptr && !state.intel_domains->empty();
-  std::vector<std::string_view> all = domain_views(*state.domain_history);
-  {
-    const std::vector<std::string_view> uas = ua_views(*state.ua_history);
-    all.insert(all.end(), uas.begin(), uas.end());
+  if (!is_frame && header != nullptr) {
+    set_status(status, LoadError::Malformed,
+               "a delta frame, not a full checkpoint");
+    return false;
   }
-  if (state.top_sites != nullptr) {
-    const std::vector<std::string_view> sites = top_site_views(*state.top_sites);
-    all.insert(all.end(), sites.begin(), sites.end());
-  }
-  if (has_intel) {
-    for (const std::string& domain : *state.intel_domains) {
-      all.push_back(domain);
+  bool missing = false;
+  const auto require = [&](SectionId id, const char* what) {
+    const Section* section = reader->find(id);
+    if (section == nullptr && !missing) {
+      missing = true;
+      set_status(status, LoadError::MissingSection,
+                 std::string(what) + " section missing");
     }
-  }
-  const StringTable table = sorted_unique(std::move(all));
-  const TableIndex index(table);
+    return section;
+  };
+  const Section* strings = require(SectionId::StringTable, "string table");
+  const Section* config = require(SectionId::Config, "config");
+  const Section* domains = require(SectionId::DomainHistory, "domain history");
+  const Section* uas = require(SectionId::UaHistory, "ua history");
+  const Section* cc = require(SectionId::CcModel, "c&c model");
+  const Section* sim = require(SectionId::SimModel, "similarity model");
+  const Section* training =
+      require(SectionId::TrainingStats, "training stats");
+  const Section* counters = require(SectionId::Counters, "counters");
+  if (missing) return false;
 
-  ContainerWriter writer;
-  writer.add_section(SectionId::StringTable,
-                     encode_string_table(table, n_threads, executor));
-  writer.add_section(SectionId::Config, encode_config_section(*state.config));
-  writer.add_section(
-      SectionId::DomainHistory,
-      encode_domain_history_section(*state.domain_history, index));
-  writer.add_section(SectionId::UaHistory,
-                     encode_ua_history_section(*state.ua_history, index));
-  if (state.top_sites != nullptr) {
-    writer.add_section(
-        SectionId::TopSites,
-        encode_string_set_section(top_site_views(*state.top_sites), index));
-  }
-  writer.add_section(SectionId::CcModel, encode_model_section(*state.cc_model));
-  writer.add_section(SectionId::SimModel,
-                     encode_model_section(*state.sim_model));
-  writer.add_section(SectionId::TrainingStats,
-                     encode_training_section(state.training));
-  if (has_intel) {
-    const std::vector<std::string_view> intel(state.intel_domains->begin(),
-                                              state.intel_domains->end());
-    writer.add_section(SectionId::Intel,
-                       encode_string_set_section(intel, index));
-  }
-  writer.add_section(SectionId::Counters,
-                     encode_counters_section(state.counters));
-  if (state.training_rows != nullptr && !state.training_rows->empty()) {
-    writer.add_section(SectionId::TrainingRows,
-                       encode_training_rows_section(*state.training_rows));
-  }
-  return writer.encode();
-}
-
-std::optional<DetectorState> decode_detector_state(std::string_view bytes,
-                                                   LoadStatus* status) {
   DecodedTable table;
-  const auto reader = open_container(bytes, table, status);
-  if (!reader) return std::nullopt;
-
-  DetectorState state;
-  const Section* config =
-      require_section(*reader, SectionId::Config, "config", status);
-  const Section* domains =
-      require_section(*reader, SectionId::DomainHistory, "domain history", status);
-  const Section* uas =
-      require_section(*reader, SectionId::UaHistory, "ua history", status);
-  const Section* cc = require_section(*reader, SectionId::CcModel,
-                                      "c&c model", status);
-  const Section* sim = require_section(*reader, SectionId::SimModel,
-                                       "similarity model", status);
-  const Section* training = require_section(*reader, SectionId::TrainingStats,
-                                            "training stats", status);
-  const Section* counters =
-      require_section(*reader, SectionId::Counters, "counters", status);
-  if (config == nullptr || domains == nullptr || uas == nullptr ||
-      cc == nullptr || sim == nullptr || training == nullptr ||
-      counters == nullptr) {
-    return std::nullopt;
-  }
-  if (!decode_config_section(config->payload, state.config, status)) {
-    return std::nullopt;
-  }
-  if (!decode_domain_history_section(domains->payload, table,
-                                     state.domain_history, status)) {
-    return std::nullopt;
-  }
-  std::optional<profile::UaHistory> ua_history;
-  if (!decode_ua_history_section(uas->payload, table, ua_history, status)) {
-    return std::nullopt;
-  }
-  state.ua_history = std::move(*ua_history);
-  if (const Section* sites = reader->find(SectionId::TopSites)) {
-    std::vector<std::string> names;
-    if (!decode_string_set_section(sites->payload, table, "top sites", names,
-                                   status)) {
-      return std::nullopt;
-    }
-    for (const std::string& name : names) state.top_sites.add(name);
-    state.has_top_sites = true;
-  }
-  if (!decode_model_section(cc->payload, "c&c model", state.cc_model, status) ||
+  DetectorState& state = out.sections;
+  if (!decode_string_table(strings->payload, table, status) ||
+      (is_frame && !decode_header_section(header->payload, out.header, status)) ||
+      !decode_config_section(config->payload, state.config, status) ||
+      !decode_domain_section(domains->payload, table, state.domain_history,
+                             status) ||
+      !decode_ua_section(uas->payload, table, state.ua_history, status) ||
+      !decode_model_section(cc->payload, "c&c model", state.cc_model, status) ||
       !decode_model_section(sim->payload, "similarity model", state.sim_model,
                             status) ||
       !decode_training_section(training->payload, state.training, status) ||
       !decode_counters_section(counters->payload, state.counters, status)) {
-    return std::nullopt;
+    return false;
+  }
+  if (const Section* sites = reader->find(SectionId::TopSites)) {
+    std::vector<std::string> names;
+    if (!decode_string_set_section(sites->payload, table, "top sites", names,
+                                   status)) {
+      return false;
+    }
+    for (const std::string& name : names) state.top_sites.add(name);
+    state.has_top_sites = true;
   }
   if (const Section* intel = reader->find(SectionId::Intel)) {
     if (!decode_string_set_section(intel->payload, table, "intel",
                                    state.intel_domains, status)) {
-      return std::nullopt;
+      return false;
     }
+    out.has_intel = true;
   }
   if (const Section* rows = reader->find(SectionId::TrainingRows)) {
     if (!decode_training_rows_section(rows->payload, state.training_rows,
                                       status)) {
-      return std::nullopt;
+      return false;
     }
   }
-  return state;
+  if (!is_frame) return true;
+  if (const Section* cursor = reader->find(SectionId::RtCursor)) {
+    if (!decode_cursor_section(cursor->payload, out, status)) return false;
+  }
+  if (const Section* incidents = reader->find(SectionId::Incidents)) {
+    if (!decode_incidents_section(incidents->payload, table, out, status)) {
+      return false;
+    }
+  }
+  return true;
 }
 
-namespace {
+/// Append one frame's regression rows. An empty matrix takes the frame's
+/// width, so a full checkpoint round-trips its rows section exactly.
+void append_rows(std::uint64_t from_cols, const std::vector<double>& from,
+                 const std::vector<double>& from_labels, std::uint64_t& cols,
+                 std::vector<double>& values, std::vector<double>& labels) {
+  if (labels.empty()) cols = from_cols;
+  values.insert(values.end(), from.begin(), from.end());
+  labels.insert(labels.end(), from_labels.begin(), from_labels.end());
+}
 
 struct StateMetrics {
   obs::Counter& saves = obs::metrics().counter("eid_state_saves_total");
@@ -874,13 +995,168 @@ StateMetrics& state_metrics() {
 
 }  // namespace
 
-bool save_detector_state(const DetectorStateView& state,
+// ---- The one encoder ----
+
+StateView view_of(const DetectorState& state) {
+  StateView view;
+  view.config = &state.config;
+  view.domain_history = &state.domain_history;
+  view.ua_history = &state.ua_history;
+  view.top_sites = state.has_top_sites ? &state.top_sites : nullptr;
+  view.cc_model = &state.cc_model;
+  view.sim_model = &state.sim_model;
+  view.training = state.training;
+  view.intel_domains =
+      state.intel_domains.empty() ? nullptr : &state.intel_domains;
+  view.counters = state.counters;
+  view.training_rows = &state.training_rows;
+  return view;
+}
+
+std::string encode_state(const StateView& view, std::size_t n_threads,
+                         util::Executor* executor) {
+  const FrameView* frame = view.frame;
+  std::vector<core::Incident> incidents;
+  if (frame != nullptr && frame->incidents != nullptr) {
+    incidents = frame->incidents->incidents();
+  }
+
+  // One table over every string the container references.
+  TableBuilder strings;
+  const TicketRange domains = add_domains(view, strings);
+  UaEntries ua = add_ua_entries(view, strings);
+  TicketRange top_sites;
+  if (view.top_sites != nullptr) {
+    top_sites = strings.add_all(view.top_sites->sites());
+  }
+  TicketRange intel;
+  if (view.intel_domains != nullptr) {
+    intel = strings.add_all(*view.intel_domains);
+  }
+  std::vector<IncidentTickets> incident_tickets;
+  for (const core::Incident& incident : incidents) {
+    incident_tickets.push_back(
+        {strings.add_all(incident.domains), strings.add_all(incident.hosts)});
+  }
+  strings.build();
+
+  ContainerWriter writer;
+  if (frame != nullptr) {
+    writer.add_section(SectionId::DeltaHeader,
+                       encode_header_section(frame->header));
+  }
+  writer.add_section(SectionId::StringTable,
+                     encode_string_table(strings.table(), n_threads, executor));
+  writer.add_section(SectionId::Config, encode_config_section(*view.config));
+  writer.add_section(
+      SectionId::DomainHistory,
+      encode_domain_section(view.domain_history->days_ingested(), strings,
+                            domains));
+  writer.add_section(SectionId::UaHistory,
+                     encode_ua_section(view.ua_history->rare_threshold(),
+                                       std::move(ua), strings));
+  if (view.top_sites != nullptr) {
+    writer.add_section(SectionId::TopSites,
+                       encode_string_set_section(strings, top_sites));
+  }
+  writer.add_section(SectionId::CcModel, encode_model_section(*view.cc_model));
+  writer.add_section(SectionId::SimModel,
+                     encode_model_section(*view.sim_model));
+  writer.add_section(SectionId::TrainingStats,
+                     encode_training_section(view.training));
+  if (view.intel_domains != nullptr) {
+    writer.add_section(SectionId::Intel,
+                       encode_string_set_section(strings, intel));
+  }
+  writer.add_section(SectionId::Counters,
+                     encode_counters_section(view.counters));
+  if (view.training_rows != nullptr && !view.training_rows->empty()) {
+    writer.add_section(SectionId::TrainingRows,
+                       encode_training_rows_section(*view.training_rows));
+  }
+  if (frame != nullptr && frame->has_cursor) {
+    writer.add_section(SectionId::RtCursor, encode_cursor_section(*frame));
+  }
+  if (frame != nullptr && frame->incidents != nullptr) {
+    writer.add_section(
+        SectionId::Incidents,
+        encode_incidents_section(frame->incidents->next_id(), incidents,
+                                 incident_tickets, strings));
+  }
+  return writer.encode();
+}
+
+// ---- Decoding and the one apply routine ----
+
+std::optional<DetectorState> decode_detector_state(std::string_view bytes,
+                                                   LoadStatus* status) {
+  DeltaFrame frame;
+  if (!decode_sections(bytes, false, frame, status)) return std::nullopt;
+  DetectorState state;
+  if (!apply_delta_frame(state, frame, status)) return std::nullopt;
+  return state;
+}
+
+std::optional<DeltaFrame> decode_delta_frame(std::string_view payload,
+                                             LoadStatus* status) {
+  DeltaFrame frame;
+  if (!decode_sections(payload, true, frame, status)) return std::nullopt;
+  return frame;
+}
+
+bool apply_delta_frame(DetectorState& state, DeltaFrame& frame,
+                       LoadStatus* status) {
+  DetectorState& add = frame.sections;
+  if (state.ua_history.distinct_uas() > 0 &&
+      add.ua_history.rare_threshold() != state.ua_history.rare_threshold()) {
+    set_status(status, LoadError::Malformed,
+               "ua history: rare threshold differs from the state's");
+    return false;
+  }
+  const TrainingRows& rows = add.training_rows;
+  if ((!rows.cc_labels.empty() && rows.cc_cols != features::kCcFeatureCount) ||
+      (!rows.sim_labels.empty() &&
+       rows.sim_cols != features::kSimFeatureCount)) {
+    set_status(status, LoadError::Malformed,
+               "training rows: width does not match this build's feature "
+               "count");
+    return false;
+  }
+
+  state.config = add.config;
+  state.domain_history.absorb(std::move(add.domain_history));
+  state.ua_history.absorb(std::move(add.ua_history));
+  if (add.has_top_sites) {
+    state.top_sites = std::move(add.top_sites);
+    state.has_top_sites = true;
+  }
+  state.cc_model = std::move(add.cc_model);
+  state.sim_model = std::move(add.sim_model);
+  state.training = add.training;
+  state.counters = add.counters;
+  if (frame.has_intel) state.intel_domains = std::move(add.intel_domains);
+  TrainingRows& to = state.training_rows;
+  append_rows(rows.cc_cols, rows.cc, rows.cc_labels, to.cc_cols, to.cc,
+              to.cc_labels);
+  append_rows(rows.sim_cols, rows.sim, rows.sim_labels, to.sim_cols, to.sim,
+              to.sim_labels);
+  if (state.training.models_ready) {
+    // Once finalize_training() happened the rows will never be re-solved;
+    // an uninterrupted run drops them, so a resumed one does too.
+    state.training_rows = TrainingRows{};
+  }
+  return true;
+}
+
+// ---- Files ----
+
+bool save_detector_state(const StateView& state,
                          const std::filesystem::path& path,
                          std::size_t n_threads, LoadStatus* status,
                          util::Executor* executor) {
   const obs::TraceSpan span("state_save", "storage");
   const auto start = std::chrono::steady_clock::now();
-  const std::string bytes = encode_detector_state(state, n_threads, executor);
+  const std::string bytes = encode_state(state, n_threads, executor);
   const bool ok = write_file_atomic(path, bytes, status);
   StateMetrics& metrics = state_metrics();
   if (ok) {
@@ -909,139 +1185,6 @@ std::optional<DetectorState> load_detector_state(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count());
   return state;
-}
-
-// ---- Per-component files ----
-
-bool save_domain_history(const profile::DomainHistory& history,
-                         const std::filesystem::path& path,
-                         std::size_t n_threads, LoadStatus* status) {
-  const StringTable table = sorted_unique(domain_views(history));
-  const TableIndex index(table);
-  ContainerWriter writer;
-  writer.add_section(SectionId::StringTable,
-                     encode_string_table(table, n_threads));
-  writer.add_section(SectionId::DomainHistory,
-                     encode_domain_history_section(history, index));
-  return save_container(writer, path, status);
-}
-
-std::optional<profile::DomainHistory> decode_domain_history(
-    std::string_view bytes, LoadStatus* status) {
-  DecodedTable table;
-  const auto reader = open_container(bytes, table, status);
-  if (!reader) return std::nullopt;
-  const Section* section =
-      require_section(*reader, SectionId::DomainHistory, "domain history", status);
-  if (section == nullptr) return std::nullopt;
-  profile::DomainHistory history;
-  if (!decode_domain_history_section(section->payload, table, history, status)) {
-    return std::nullopt;
-  }
-  return history;
-}
-
-std::optional<profile::DomainHistory> load_domain_history(
-    const std::filesystem::path& path, LoadStatus* status) {
-  const auto bytes = read_file(path, status);
-  if (!bytes) return std::nullopt;
-  return decode_domain_history(*bytes, status);
-}
-
-bool save_ua_history(const profile::UaHistory& history,
-                     const std::filesystem::path& path, std::size_t n_threads,
-                     LoadStatus* status) {
-  const StringTable table = sorted_unique(ua_views(history));
-  const TableIndex index(table);
-  ContainerWriter writer;
-  writer.add_section(SectionId::StringTable,
-                     encode_string_table(table, n_threads));
-  writer.add_section(SectionId::UaHistory,
-                     encode_ua_history_section(history, index));
-  return save_container(writer, path, status);
-}
-
-std::optional<profile::UaHistory> decode_ua_history(std::string_view bytes,
-                                                    LoadStatus* status) {
-  DecodedTable table;
-  const auto reader = open_container(bytes, table, status);
-  if (!reader) return std::nullopt;
-  const Section* section =
-      require_section(*reader, SectionId::UaHistory, "ua history", status);
-  if (section == nullptr) return std::nullopt;
-  std::optional<profile::UaHistory> history;
-  if (!decode_ua_history_section(section->payload, table, history, status)) {
-    return std::nullopt;
-  }
-  return history;
-}
-
-std::optional<profile::UaHistory> load_ua_history(
-    const std::filesystem::path& path, LoadStatus* status) {
-  const auto bytes = read_file(path, status);
-  if (!bytes) return std::nullopt;
-  return decode_ua_history(*bytes, status);
-}
-
-bool save_top_sites(const profile::TopSitesList& sites,
-                    const std::filesystem::path& path, std::size_t n_threads,
-                    LoadStatus* status) {
-  const StringTable table = sorted_unique(top_site_views(sites));
-  const TableIndex index(table);
-  ContainerWriter writer;
-  writer.add_section(SectionId::StringTable,
-                     encode_string_table(table, n_threads));
-  writer.add_section(SectionId::TopSites,
-                     encode_string_set_section(top_site_views(sites), index));
-  return save_container(writer, path, status);
-}
-
-std::optional<profile::TopSitesList> load_top_sites(
-    const std::filesystem::path& path, LoadStatus* status) {
-  const auto bytes = read_file(path, status);
-  if (!bytes) return std::nullopt;
-  DecodedTable table;
-  const auto reader = open_container(*bytes, table, status);
-  if (!reader) return std::nullopt;
-  const Section* section =
-      require_section(*reader, SectionId::TopSites, "top sites", status);
-  if (section == nullptr) return std::nullopt;
-  std::vector<std::string> names;
-  if (!decode_string_set_section(section->payload, table, "top sites", names,
-                                 status)) {
-    return std::nullopt;
-  }
-  profile::TopSitesList sites;
-  for (const std::string& name : names) sites.add(name);
-  return sites;
-}
-
-bool save_scored_model(const core::ScoredModel& model,
-                       const std::filesystem::path& path, LoadStatus* status) {
-  ContainerWriter writer;
-  writer.add_section(SectionId::StringTable, encode_string_table({}, 1));
-  writer.add_section(SectionId::CcModel, encode_model_section(model));
-  return save_container(writer, path, status);
-}
-
-std::optional<core::ScoredModel> load_scored_model(
-    const std::filesystem::path& path, LoadStatus* status) {
-  const auto bytes = read_file(path, status);
-  if (!bytes) return std::nullopt;
-  DecodedTable table;
-  const auto reader = open_container(*bytes, table, status);
-  if (!reader) return std::nullopt;
-  const Section* section = reader->find(SectionId::CcModel);
-  if (section == nullptr) section = reader->find(SectionId::SimModel);
-  if (section == nullptr) {
-    set_status(status, LoadError::MissingSection, "model section missing");
-    return std::nullopt;
-  }
-  core::ScoredModel model;
-  if (!decode_model_section(section->payload, "model", model, status)) {
-    return std::nullopt;
-  }
-  return model;
 }
 
 }  // namespace eid::storage

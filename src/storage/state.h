@@ -10,13 +10,13 @@
 // encoded shard-parallel via util::parallel_ranges), so a host name that
 // appears in a thousand UA entries is written once and referenced by a
 // 1-3 byte varint id — the compact on-disk interned format for month-scale
-// histories the ROADMAP calls for.
+// histories.
 //
-// Per-component save/load free functions write the same container with a
-// subset of sections, so a deployment can checkpoint just a history. The
-// legacy line-oriented text formats remain loadable through the
-// profile/persistence.h entry points, which auto-detect the container
-// magic and dispatch here.
+// One codec serves full checkpoints and delta frames (storage/delta.h): a
+// frame is the same sections narrowed to one day's growth plus a header,
+// and a full checkpoint decodes as a frame applied to an empty state.
+// encode_state() is the only encoder, apply_delta_frame() the only place
+// decoded sections reach a DetectorState.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/incidents.h"
 #include "core/pipeline.h"
 #include "storage/container.h"
 
@@ -78,45 +79,96 @@ struct DetectorState {
   TrainingRows training_rows{};  ///< non-empty only before models_ready
 };
 
-/// Borrowed view of a detector's state for encoding without copying the
-/// month-scale histories (the daily save path). Decode always produces
-/// the owning DetectorState. `top_sites` nullptr means "no whitelist
-/// installed"; `intel_domains` nullptr means empty.
-struct DetectorStateView {
+/// Section 20: binds a delta frame to one base checkpoint and one chain
+/// position.
+struct DeltaHeader {
+  std::uint32_t base_crc = 0;  ///< CRC-32 of the base checkpoint file bytes
+  std::uint64_t seq = 0;       ///< 1 for the first frame after a full save
+  std::int64_t day = 0;        ///< day the frame was written for
+};
+
+/// What a delta frame adds to a full save: the header, the journal that
+/// narrows sections 3/4 to one day's growth, and the failover payload.
+struct FrameView {
+  DeltaHeader header;
+  /// Section 3 carries only these domains (first seen since the previous
+  /// frame); section 4 only these UA entries (touched since then).
+  const std::vector<std::string>* new_domains = nullptr;  ///< required
+  const std::vector<std::string>* touched_uas = nullptr;  ///< required
+  bool has_cursor = false;
+  std::int64_t cursor_day = 0;       ///< day the tail cursor points into
+  std::uint64_t cursor_offset = 0;   ///< byte offset into that day's log
+  const core::IncidentStore* incidents = nullptr;  ///< when tracking incidents
+};
+
+/// Borrowed view of what one container carries, so the daily save never
+/// copies month-scale histories. Without `frame` it encodes a full
+/// checkpoint; with it, a delta frame. Optional sections are written only
+/// when their pointer is set (and, for training rows, non-empty).
+struct StateView {
   const core::PipelineConfig* config = nullptr;
   const profile::DomainHistory* domain_history = nullptr;
   const profile::UaHistory* ua_history = nullptr;
-  const profile::TopSitesList* top_sites = nullptr;
+  const profile::TopSitesList* top_sites = nullptr;  ///< section 5
   const core::ScoredModel* cc_model = nullptr;
   const core::ScoredModel* sim_model = nullptr;
   TrainingStats training{};
-  const std::vector<std::string>* intel_domains = nullptr;
+  const std::vector<std::string>* intel_domains = nullptr;  ///< section 9
   Counters counters{};
-  const TrainingRows* training_rows = nullptr;  ///< nullptr/empty == none
+  const TrainingRows* training_rows = nullptr;  ///< section 11
+  const FrameView* frame = nullptr;
 };
 
-/// Borrow an owning state (helper for the forwarding overloads).
-DetectorStateView view_of(const DetectorState& state);
+/// Full-checkpoint view of an owning state (empty intel writes no section).
+StateView view_of(const DetectorState& state);
 
-// ---- Full detector state ----
+/// The one encoder: container bytes for a full checkpoint or a delta frame.
+/// `n_threads` parallelizes the string-table encode (fixed block partition:
+/// the bytes are identical for any value); `executor` (optional) carries
+/// that fan-out on a persistent pool.
+std::string encode_state(const StateView& view, std::size_t n_threads = 1,
+                         util::Executor* executor = nullptr);
 
-/// Encode to container bytes. `n_threads` parallelizes the string-table
-/// encode (fixed block partition: the bytes are identical for any value);
-/// `executor` (optional) carries that fan-out on a persistent pool.
-std::string encode_detector_state(const DetectorStateView& state,
-                                  std::size_t n_threads = 1,
-                                  util::Executor* executor = nullptr);
 inline std::string encode_detector_state(const DetectorState& state,
                                          std::size_t n_threads = 1,
                                          util::Executor* executor = nullptr) {
-  return encode_detector_state(view_of(state), n_threads, executor);
+  return encode_state(view_of(state), n_threads, executor);
 }
 
+/// One decoded delta frame (owning). `sections` holds the frame's sections
+/// in the full-save layout: its histories contain only the day's growth.
+struct DeltaFrame {
+  DeltaHeader header;
+  DetectorState sections;
+  bool has_intel = false;  ///< section 9 present: it replaces the intel feed
+  bool has_cursor = false;
+  std::int64_t cursor_day = 0;
+  std::uint64_t cursor_offset = 0;
+  bool has_incidents = false;
+  int incidents_next_id = 0;
+  std::vector<core::Incident> incidents;
+};
+
+/// Decode a full checkpoint: its sections, applied to an empty state.
 std::optional<DetectorState> decode_detector_state(std::string_view bytes,
                                                    LoadStatus* status = nullptr);
 
+/// Decode a frame payload (the container inside an EIDDELT1 frame).
+std::optional<DeltaFrame> decode_delta_frame(std::string_view payload,
+                                             LoadStatus* status = nullptr);
+
+/// The one routine that applies decoded sections to a state: a full load,
+/// each frame of a chain load, and a standby replica all go through it.
+/// Absolute sections replace; histories absorb the frame's domains and UA
+/// entries (an empty state adopts them wholesale); training rows append.
+/// `frame.sections` is moved into the state; the header and failover
+/// payload are left for the caller. Everything is validated before
+/// anything is written, so on false (with status) both are unchanged.
+bool apply_delta_frame(DetectorState& state, DeltaFrame& frame,
+                       LoadStatus* status = nullptr);
+
 /// Atomic tmp-file + rename write of the encoded state.
-bool save_detector_state(const DetectorStateView& state,
+bool save_detector_state(const StateView& state,
                          const std::filesystem::path& path,
                          std::size_t n_threads = 1,
                          LoadStatus* status = nullptr,
@@ -131,37 +183,6 @@ inline bool save_detector_state(const DetectorState& state,
 }
 
 std::optional<DetectorState> load_detector_state(
-    const std::filesystem::path& path, LoadStatus* status = nullptr);
-
-// ---- Per-component binary files (string table + one section) ----
-
-bool save_domain_history(const profile::DomainHistory& history,
-                         const std::filesystem::path& path,
-                         std::size_t n_threads = 1,
-                         LoadStatus* status = nullptr);
-std::optional<profile::DomainHistory> decode_domain_history(
-    std::string_view bytes, LoadStatus* status = nullptr);
-std::optional<profile::DomainHistory> load_domain_history(
-    const std::filesystem::path& path, LoadStatus* status = nullptr);
-
-bool save_ua_history(const profile::UaHistory& history,
-                     const std::filesystem::path& path,
-                     std::size_t n_threads = 1, LoadStatus* status = nullptr);
-std::optional<profile::UaHistory> decode_ua_history(std::string_view bytes,
-                                                    LoadStatus* status = nullptr);
-std::optional<profile::UaHistory> load_ua_history(
-    const std::filesystem::path& path, LoadStatus* status = nullptr);
-
-bool save_top_sites(const profile::TopSitesList& sites,
-                    const std::filesystem::path& path,
-                    std::size_t n_threads = 1, LoadStatus* status = nullptr);
-std::optional<profile::TopSitesList> load_top_sites(
-    const std::filesystem::path& path, LoadStatus* status = nullptr);
-
-bool save_scored_model(const core::ScoredModel& model,
-                       const std::filesystem::path& path,
-                       LoadStatus* status = nullptr);
-std::optional<core::ScoredModel> load_scored_model(
     const std::filesystem::path& path, LoadStatus* status = nullptr);
 
 }  // namespace eid::storage

@@ -17,7 +17,8 @@
 //     day starts from a fresh detector that load_state()s the previous
 //     day's save_state_delta (base + growing frame chain);
 //   * fixture_next_day — the report the committed fixture's base
-//     checkpoint (tests/golden/v1_chain.state) produces for its next day.
+//     checkpoint (tests/golden/v1_chain.state) produces for its next day;
+//     see RetiredChainFixture.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -240,28 +241,44 @@ TEST_F(GoldenTest, ResumedDayReports) {
   }
 }
 
-/// Writes tests/golden/v1_chain.state plus its .delta chain: a full base
-/// checkpoint and two frames on top of it.
-TEST_F(GoldenTest, ChainFixture) {
-  if (!g_update) GTEST_SKIP() << "fixture is only written under --update";
+/// tests/golden/v1_chain.state plus its .delta chain were written by the
+/// release before delta frames and full saves shared one set of section
+/// codecs: a full base checkpoint and two frames in the retired layout
+/// (sections 21/22). The base must keep loading and resuming bit-exactly;
+/// the old frames must degrade the load to it, then compact away. The
+/// fixture is frozen: --update leaves it alone.
+TEST_F(GoldenTest, RetiredChainFixture) {
   const auto path = dir_ / "v1_chain.state";
+  std::filesystem::copy_file(kGoldenDir / "v1_chain.state", path);
+  std::filesystem::copy_file(kGoldenDir / "v1_chain.state.delta",
+                             storage::delta_chain_path(path));
+  const std::string base = slurp(path);
+
+  api::Detector resumed = make_detector();
+  storage::ChainLoadReport report;
+  storage::LoadStatus status;
+  ASSERT_TRUE(resumed.load_state(path, &report, &status)) << status.detail;
+  EXPECT_TRUE(report.degraded);
+  EXPECT_FALSE(report.torn_tail);
+  EXPECT_EQ(report.frames_applied, 0u);
+  EXPECT_EQ(report.frames_dropped, 2u);
+  EXPECT_NE(report.detail.find("retired delta-frame layout"),
+            std::string::npos)
+      << report.detail;
+  EXPECT_EQ(resumed.days_operated(), 0u);
+  check("fixture_next_day", run_operation_day(resumed, 0));
+
+  // The degraded load left the chain cold: the next delta save compacts.
   api::CheckpointPolicy policy;
   policy.full_every = 10;
-  storage::LoadStatus status;
-  api::Detector primary = make_detector();
-  train(primary, true);
-  ASSERT_TRUE(primary.save_state_delta(path, policy, &status)) << status.detail;
-  const std::string base = slurp(path);
-  check("fixture_next_day", run_operation_day(primary, 0));
-  for (int d = 0; d < 2; ++d) {
-    if (d > 0) run_operation_day(primary, d);
-    ASSERT_TRUE(primary.save_state_delta(path, policy, &status))
-        << status.detail;
-  }
-  ASSERT_EQ(slurp(path), base);  // the frames did not touch the base
-  spit(kGoldenDir / "v1_chain.state", base);
-  spit(kGoldenDir / "v1_chain.state.delta",
-       slurp(storage::delta_chain_path(path)));
+  ASSERT_TRUE(resumed.save_state_delta(path, policy, &status))
+      << status.detail;
+  EXPECT_FALSE(std::filesystem::exists(storage::delta_chain_path(path)));
+  EXPECT_NE(slurp(path), base);
+  api::Detector reloaded = make_detector();
+  ASSERT_TRUE(reloaded.load_state(path, &report, &status)) << status.detail;
+  EXPECT_FALSE(report.degraded) << report.detail;
+  EXPECT_EQ(reloaded.days_operated(), 1u);
 }
 
 }  // namespace

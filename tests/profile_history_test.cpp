@@ -145,5 +145,15 @@ TEST(UaHistoryTest, PopularStaysPopular) {
   EXPECT_EQ(history.host_count("UA"), 2u);  // saturated at threshold
 }
 
+TEST(UaHistoryTest, OverThresholdRestoredEntryNormalizesToPopular) {
+  // A restored rare entry listing >= threshold hosts (hand-built, or from
+  // an older writer) becomes popular — the invariant observe() enforces.
+  UaHistory history(3);
+  const std::vector<std::string_view> hosts = {"h1", "h2", "h3", "h4"};
+  history.restore_entry("Big/1.0", false, hosts);
+  EXPECT_FALSE(history.is_rare("Big/1.0"));
+  EXPECT_EQ(history.host_count("Big/1.0"), 3u);  // saturated at threshold
+}
+
 }  // namespace
 }  // namespace eid::profile

@@ -425,18 +425,35 @@ TEST_F(DeltaChainTest, EveryLoadErrorVariantAgainstAChain) {
         storage::decode_delta_frame(info.frames[0].payload, &local);
     ASSERT_TRUE(frame);
     api::Detector detector = make_pretrained();
-    frame->training_rows.cc_cols = 3;  // impossible row width
-    frame->training_rows.cc = {1.0, 2.0, 3.0};
-    frame->training_rows.cc_labels = {1.0};
+    const std::size_t domains = detector.pipeline().domain_history().size();
+    frame->sections.domain_history.update_one("never-applied.example");
+    frame->sections.training_rows.cc_cols = 3;  // impossible row width
+    frame->sections.training_rows.cc = {1.0, 2.0, 3.0};
+    frame->sections.training_rows.cc_labels = {1.0};
     EXPECT_FALSE(detector.apply_state_delta(*frame, &local));
     EXPECT_EQ(local.error, storage::LoadError::Malformed);
+    // A refused frame is validated before anything is written.
+    EXPECT_EQ(detector.pipeline().domain_history().size(), domains);
+    EXPECT_TRUE(
+        detector.pipeline().domain_history().is_new("never-applied.example"));
+    EXPECT_TRUE(detector.pipeline().models_ready());
   }
 }
 
 TEST_F(DeltaChainTest, FrameRoundTripCarriesEverySection) {
   api::Detector trained = make_pretrained();
+  // Live histories; the journal narrows the frame to part of them.
+  profile::DomainHistory domains;
+  domains.update({"old.example"});
+  domains.absorb(std::vector<std::string>{"evil.example", "rare.example"}, 31);
   const std::vector<std::string> new_domains = {"evil.example",
                                                 "rare.example"};
+  profile::UaHistory uas(10);
+  uas.observe("curl/8.0", "10.0.0.7");
+  uas.observe("curl/8.0", "10.0.0.9");
+  uas.restore_entry("Mozilla/5.0", true, {});
+  uas.observe("untouched/1.0", "10.0.0.3");
+  const std::vector<std::string> touched_uas = {"curl/8.0", "Mozilla/5.0"};
   const std::vector<std::string> intel = {"ioc-a.example", "ioc-b.example"};
   profile::TopSitesList sites;
   sites.add("alexa-1.example");
@@ -450,71 +467,59 @@ TEST_F(DeltaChainTest, FrameRoundTripCarriesEverySection) {
   rows.cc = {0.5, 1.5, 2.5, 3.5};
   rows.cc_labels = {1.0, 0.0};
 
-  storage::DeltaInputs inputs;
-  inputs.base_crc = 0xdeadbeef;
-  inputs.seq = 7;
-  inputs.day = 412;
-  inputs.days_ingested = 31;
-  inputs.new_domains = &new_domains;
-  storage::DeltaUaEntryView ua;
-  ua.ua = "curl/8.0";
-  ua.hosts = {"10.0.0.7", "10.0.0.9"};
-  inputs.ua_entries.push_back(ua);
-  storage::DeltaUaEntryView popular_ua;
-  popular_ua.ua = "Mozilla/5.0";
-  popular_ua.popular = true;
-  inputs.ua_entries.push_back(popular_ua);
+  storage::FrameView frame_view;
+  frame_view.header = {0xdeadbeef, 7, 412};
+  frame_view.new_domains = &new_domains;
+  frame_view.touched_uas = &touched_uas;
+  frame_view.has_cursor = true;
+  frame_view.cursor_day = 412;
+  frame_view.cursor_offset = 123456;
+  frame_view.incidents = &incidents;
   const core::PipelineConfig config = trained.pipeline().config();
-  inputs.config = &config;
-  inputs.cc_model = &trained.pipeline().cc_model();
-  inputs.sim_model = &trained.pipeline().sim_model();
-  inputs.training.models_ready = true;
-  inputs.counters.days_operated = 5;
-  inputs.training_rows = &rows;
-  inputs.intel_domains = &intel;
-  inputs.top_sites = &sites;
-  inputs.has_cursor = true;
-  inputs.cursor_day = 412;
-  inputs.cursor_offset = 123456;
-  inputs.incidents = &incidents;
+  storage::StateView view;
+  view.config = &config;
+  view.domain_history = &domains;
+  view.ua_history = &uas;
+  view.top_sites = &sites;
+  view.cc_model = &trained.pipeline().cc_model();
+  view.sim_model = &trained.pipeline().sim_model();
+  view.training.models_ready = true;
+  view.intel_domains = &intel;
+  view.counters.days_operated = 5;
+  view.training_rows = &rows;
+  view.frame = &frame_view;
 
-  const std::string payload = storage::encode_delta_frame(inputs);
+  const std::string payload = storage::encode_state(view);
   storage::LoadStatus status;
   std::optional<storage::DeltaFrame> frame =
       storage::decode_delta_frame(payload, &status);
   ASSERT_TRUE(frame) << status.detail;
-  EXPECT_EQ(frame->base_crc, 0xdeadbeefu);
-  EXPECT_EQ(frame->seq, 7u);
-  EXPECT_EQ(frame->day, 412);
-  EXPECT_EQ(frame->days_ingested, 31u);
-  EXPECT_EQ(frame->new_domains, new_domains);
-  // Entries come back sorted by the frame-local string table, not in
-  // input order; find each by name.
-  ASSERT_EQ(frame->ua_entries.size(), 2u);
-  const auto find_ua = [&](std::string_view name)
-      -> const storage::DeltaFrame::UaEntry* {
-    for (const auto& entry : frame->ua_entries) {
-      if (entry.ua == name) return &entry;
-    }
-    return nullptr;
-  };
-  const auto* curl = find_ua("curl/8.0");
-  ASSERT_NE(curl, nullptr);
-  EXPECT_FALSE(curl->popular);
-  EXPECT_EQ(curl->hosts, (std::vector<std::string>{"10.0.0.7", "10.0.0.9"}));
-  const auto* mozilla = find_ua("Mozilla/5.0");
-  ASSERT_NE(mozilla, nullptr);
-  EXPECT_TRUE(mozilla->popular);
-  EXPECT_TRUE(mozilla->hosts.empty());
-  EXPECT_TRUE(frame->training.models_ready);
-  EXPECT_EQ(frame->counters.days_operated, 5u);
-  EXPECT_EQ(frame->training_rows.cc_cols, 2u);
-  EXPECT_EQ(frame->training_rows.cc, rows.cc);
-  EXPECT_EQ(frame->training_rows.cc_labels, rows.cc_labels);
+  EXPECT_EQ(frame->header.base_crc, 0xdeadbeefu);
+  EXPECT_EQ(frame->header.seq, 7u);
+  EXPECT_EQ(frame->header.day, 412);
+  const storage::DetectorState& sections = frame->sections;
+  // Sections 3/4 carry only the journaled growth, in the full-save layout.
+  EXPECT_EQ(sections.domain_history.days_ingested(), 31u);
+  EXPECT_EQ(sections.domain_history.size(), 2u);
+  EXPECT_FALSE(sections.domain_history.is_new("evil.example"));
+  EXPECT_FALSE(sections.domain_history.is_new("rare.example"));
+  EXPECT_TRUE(sections.domain_history.is_new("old.example"));
+  EXPECT_EQ(sections.ua_history.rare_threshold(), 10u);
+  EXPECT_EQ(sections.ua_history.distinct_uas(), 2u);
+  EXPECT_EQ(sections.ua_history.host_count("curl/8.0"), 2u);
+  EXPECT_TRUE(sections.ua_history.is_rare("curl/8.0"));
+  EXPECT_FALSE(sections.ua_history.is_rare("Mozilla/5.0"));
+  EXPECT_EQ(sections.ua_history.host_count("untouched/1.0"), 0u);
+  EXPECT_TRUE(sections.training.models_ready);
+  EXPECT_EQ(sections.counters.days_operated, 5u);
+  EXPECT_EQ(sections.training_rows.cc_cols, 2u);
+  EXPECT_EQ(sections.training_rows.cc, rows.cc);
+  EXPECT_EQ(sections.training_rows.cc_labels, rows.cc_labels);
   EXPECT_TRUE(frame->has_intel);
-  EXPECT_EQ(frame->intel_domains, intel);
-  EXPECT_TRUE(frame->has_top_sites);
-  EXPECT_EQ(frame->top_sites, std::vector<std::string>{"alexa-1.example"});
+  EXPECT_EQ(sections.intel_domains, intel);
+  EXPECT_TRUE(sections.has_top_sites);
+  EXPECT_EQ(sections.top_sites.size(), 1u);
+  EXPECT_TRUE(sections.top_sites.contains("alexa-1.example"));
   EXPECT_TRUE(frame->has_cursor);
   EXPECT_EQ(frame->cursor_day, 412);
   EXPECT_EQ(frame->cursor_offset, 123456u);
@@ -524,10 +529,14 @@ TEST_F(DeltaChainTest, FrameRoundTripCarriesEverySection) {
   EXPECT_EQ(frame->incidents[0].hosts.count("10.0.0.7"), 1u);
   EXPECT_EQ(frame->incidents_next_id, incidents.next_id());
 
+  // A frame is not a full checkpoint, and vice versa.
+  EXPECT_FALSE(storage::decode_detector_state(payload, &status));
+  EXPECT_EQ(status.error, storage::LoadError::Malformed);
+
   // Malformed guard: seq 0 never encodes into a decodable frame.
-  inputs.seq = 0;
+  frame_view.header.seq = 0;
   std::optional<storage::DeltaFrame> zero =
-      storage::decode_delta_frame(storage::encode_delta_frame(inputs), &status);
+      storage::decode_delta_frame(storage::encode_state(view), &status);
   EXPECT_FALSE(zero);
   EXPECT_EQ(status.error, storage::LoadError::Malformed);
 }

@@ -1,16 +1,17 @@
-// Round-trip, corruption and migration coverage for the storage subsystem:
-// every DetectorState component survives a binary round trip bit-exactly,
-// every corruption mode fails cleanly with the right LoadError, and legacy
-// text profiles load through the unchanged profile entry points.
+// Round-trip and corruption coverage for the detector checkpoint: every
+// DetectorState component survives a binary round trip bit-exactly, and
+// every corruption mode fails cleanly with the right LoadError.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/model_io.h"
-#include "profile/persistence.h"
 #include "storage/container.h"
 #include "storage/state.h"
 #include "util/binary.h"
@@ -45,125 +46,6 @@ void write_bytes(const std::filesystem::path& p, std::string_view bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// ---- Domain history ----
-
-TEST_F(StorageStateTest, DomainHistoryRoundTripEmpty) {
-  profile::DomainHistory history;
-  ASSERT_TRUE(storage::save_domain_history(history, path("d.bin")));
-  LoadStatus status;
-  const auto loaded = storage::load_domain_history(path("d.bin"), &status);
-  ASSERT_TRUE(loaded.has_value()) << status.detail;
-  EXPECT_EQ(loaded->size(), 0u);
-  EXPECT_EQ(loaded->days_ingested(), 0u);
-}
-
-TEST_F(StorageStateTest, DomainHistoryRoundTripUnicodeAndLongStrings) {
-  profile::DomainHistory history;
-  const std::string long_domain(8000, 'x');
-  history.update({"xn--bcher-kva.example", "日本語ドメイン.example",
-                  "emoji-\xF0\x9F\x92\xBB.example", long_domain, "a.com"});
-  ASSERT_TRUE(storage::save_domain_history(history, path("d.bin")));
-  const auto loaded = storage::load_domain_history(path("d.bin"));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), 5u);
-  EXPECT_EQ(loaded->days_ingested(), 1u);
-  EXPECT_FALSE(loaded->is_new("日本語ドメイン.example"));
-  EXPECT_FALSE(loaded->is_new(long_domain));
-  EXPECT_TRUE(loaded->is_new("other.example"));
-}
-
-TEST_F(StorageStateTest, DomainHistoryRoundTripLargeSet) {
-  profile::DomainHistory history;
-  std::vector<std::string> domains;
-  util::Rng rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    domains.push_back("host-" + std::to_string(rng.next_u64()) + ".example-" +
-                      std::to_string(i % 97) + ".com");
-  }
-  history.update(domains);
-  ASSERT_TRUE(storage::save_domain_history(history, path("d.bin")));
-  const auto loaded = storage::load_domain_history(path("d.bin"));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), history.size());
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_FALSE(loaded->is_new(domains[static_cast<std::size_t>(i) * 97]));
-  }
-}
-
-TEST_F(StorageStateTest, LegacyEntryPointAutoDetectsBinary) {
-  profile::DomainHistory history;
-  history.update({"seen.example"});
-  ASSERT_TRUE(storage::save_domain_history(history, path("d.bin")));
-  // The profile:: loader (text entry point) must detect the container.
-  LoadStatus status;
-  const auto loaded = profile::load_domain_history(path("d.bin"), &status);
-  ASSERT_TRUE(loaded.has_value()) << status.detail;
-  EXPECT_FALSE(loaded->is_new("seen.example"));
-}
-
-// ---- UA history ----
-
-TEST_F(StorageStateTest, UaHistoryRoundTripPreservesRarityAndHosts) {
-  profile::UaHistory history(3);
-  history.observe("Popular/1.0", "h1");
-  history.observe("Popular/1.0", "h2");
-  history.observe("Popular/1.0", "h3");  // crosses the threshold
-  history.observe("Rare/2.0", "h1");
-  history.observe("Rare/2.0", "h9");
-  history.observe("Unicode/\xE2\x98\x83", "h1");
-  ASSERT_TRUE(storage::save_ua_history(history, path("u.bin")));
-  LoadStatus status;
-  const auto loaded = storage::load_ua_history(path("u.bin"), &status);
-  ASSERT_TRUE(loaded.has_value()) << status.detail;
-  EXPECT_EQ(loaded->rare_threshold(), 3u);
-  EXPECT_EQ(loaded->distinct_uas(), 3u);
-  EXPECT_FALSE(loaded->is_rare("Popular/1.0"));
-  EXPECT_TRUE(loaded->is_rare("Rare/2.0"));
-  EXPECT_EQ(loaded->host_count("Rare/2.0"), 2u);
-  EXPECT_TRUE(loaded->is_rare("Unicode/\xE2\x98\x83"));
-  // Restored histories keep accumulating with the same semantics.
-  auto continued = *loaded;
-  continued.observe("Rare/2.0", "h10");
-  EXPECT_FALSE(continued.is_rare("Rare/2.0"));
-}
-
-TEST_F(StorageStateTest, UaHistoryCarriesTabsAndNewlinesBinaryOnly) {
-  // The text format skips UAs with control characters; the container
-  // carries them exactly.
-  profile::UaHistory history(5);
-  history.observe("Weird\tUA\nwith\rcontrols", "h1");
-  ASSERT_TRUE(storage::save_ua_history(history, path("u.bin")));
-  const auto loaded = storage::load_ua_history(path("u.bin"));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->host_count("Weird\tUA\nwith\rcontrols"), 1u);
-}
-
-TEST_F(StorageStateTest, UaHistoryRoundTripLargeSharedHosts) {
-  profile::UaHistory history(10);
-  std::vector<std::string> hosts;
-  for (int h = 0; h < 500; ++h) hosts.push_back("ws-" + std::to_string(h));
-  util::Rng rng(3);
-  for (int u = 0; u < 3000; ++u) {
-    const std::string ua = "UA-" + std::to_string(u);
-    const std::size_t n = 1 + rng.uniform(9);
-    for (std::size_t i = 0; i < n; ++i) {
-      history.observe(ua, hosts[rng.uniform(hosts.size())]);
-    }
-  }
-  ASSERT_TRUE(storage::save_ua_history(history, path("u.bin")));
-  const auto loaded = storage::load_ua_history(path("u.bin"));
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->distinct_uas(), history.distinct_uas());
-  history.for_each_entry([&](const std::string& ua, bool popular,
-                             std::span<const std::string_view> hosts_view) {
-    EXPECT_EQ(loaded->is_rare(ua), !popular) << ua;
-    EXPECT_EQ(loaded->host_count(ua),
-              popular ? 10u : hosts_view.size()) << ua;
-  });
-}
-
-// ---- Models ----
-
 core::ScoredModel exotic_model() {
   core::ScoredModel model;
   model.threshold = 0.4375;
@@ -181,25 +63,6 @@ core::ScoredModel exotic_model() {
   return model;
 }
 
-TEST_F(StorageStateTest, ScoredModelRoundTripsBitExactly) {
-  const core::ScoredModel model = exotic_model();
-  ASSERT_TRUE(storage::save_scored_model(model, path("m.bin")));
-  const auto loaded = storage::load_scored_model(path("m.bin"));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->threshold),
-            std::bit_cast<std::uint64_t>(model.threshold));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->score_offset),
-            std::bit_cast<std::uint64_t>(model.score_offset));
-  ASSERT_EQ(loaded->model.weights.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->model.weights[i]),
-              std::bit_cast<std::uint64_t>(model.model.weights[i]));
-  }
-  EXPECT_EQ(loaded->model.n_samples, 12345u);
-  EXPECT_EQ(loaded->scaler.mins(), model.scaler.mins());
-  EXPECT_EQ(loaded->scaler.maxs(), model.scaler.maxs());
-}
-
 // ---- Full detector state ----
 
 DetectorState sample_state() {
@@ -215,10 +78,18 @@ DetectorState sample_state() {
   state.config.bp_max_iterations = 8;
   state.config.parallelism = {3, 2};
   state.domain_history.update({"a.com", "b.net", "c.org"});
-  state.domain_history.update({"d.io"});
+  state.domain_history.update({"d.io", "xn--bcher-kva.example",
+                               "日本語ドメイン.example",
+                               "emoji-\xF0\x9F\x92\xBB.example",
+                               std::string(8000, 'x')});
   state.ua_history = profile::UaHistory(4);
   state.ua_history.observe("UA-1", "h1");
   state.ua_history.observe("UA-1", "h2");
+  for (const char* host : {"h1", "h2", "h3", "h4"}) {
+    state.ua_history.observe("Popular/1.0", host);  // crosses the threshold
+  }
+  state.ua_history.observe("Unicode/\xE2\x98\x83", "h1");
+  state.ua_history.observe("Weird\tUA\nwith\rcontrols", "h9");
   state.has_top_sites = true;
   state.top_sites.add("google.com");
   state.top_sites.add("b.net");  // overlaps the history on purpose
@@ -250,12 +121,50 @@ TEST_F(StorageStateTest, DetectorStateFullRoundTrip) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->config.cc_threshold),
             std::bit_cast<std::uint64_t>(0.44));
 
-  EXPECT_EQ(loaded->domain_history.size(), 4u);
+  EXPECT_EQ(loaded->domain_history.size(), 8u);
   EXPECT_EQ(loaded->domain_history.days_ingested(), 2u);
   EXPECT_FALSE(loaded->domain_history.is_new("d.io"));
+  EXPECT_FALSE(loaded->domain_history.is_new("日本語ドメイン.example"));
+  EXPECT_FALSE(loaded->domain_history.is_new(std::string(8000, 'x')));
+  EXPECT_TRUE(loaded->domain_history.is_new("other.example"));
 
   EXPECT_EQ(loaded->ua_history.rare_threshold(), 4u);
+  EXPECT_EQ(loaded->ua_history.distinct_uas(), 4u);
   EXPECT_EQ(loaded->ua_history.host_count("UA-1"), 2u);
+  EXPECT_FALSE(loaded->ua_history.is_rare("Popular/1.0"));
+  EXPECT_TRUE(loaded->ua_history.is_rare("Unicode/\xE2\x98\x83"));
+  EXPECT_EQ(loaded->ua_history.host_count("Weird\tUA\nwith\rcontrols"), 1u);
+  EXPECT_TRUE(loaded->ua_history.is_rare("NeverSeen/0.1"));
+  // Restored histories keep accumulating with the same semantics.
+  profile::UaHistory continued = loaded->ua_history;
+  continued.observe("UA-1", "h3");
+  EXPECT_TRUE(continued.is_rare("UA-1"));
+  continued.observe("UA-1", "h4");  // fourth distinct host
+  EXPECT_FALSE(continued.is_rare("UA-1"));
+
+  // Models round-trip bit-exactly and score identically.
+  const core::ScoredModel model = exotic_model();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->cc_model.threshold),
+            std::bit_cast<std::uint64_t>(model.threshold));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->cc_model.score_offset),
+            std::bit_cast<std::uint64_t>(model.score_offset));
+  ASSERT_EQ(loaded->cc_model.model.weights.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->cc_model.model.weights[i]),
+              std::bit_cast<std::uint64_t>(model.model.weights[i]));
+  }
+  EXPECT_EQ(loaded->cc_model.model.n_samples, 12345u);
+  EXPECT_EQ(loaded->cc_model.scaler.mins(), model.scaler.mins());
+  EXPECT_EQ(loaded->cc_model.scaler.maxs(), model.scaler.maxs());
+  EXPECT_EQ(loaded->sim_model.threshold, 0.33);
+  for (const double base : {-3.0, 0.0, 1.5, 100.0}) {
+    // score() scales its row in place, so each model gets its own copy.
+    std::array<double, 3> row_a = {base, base + 1, base + 2};
+    std::array<double, 3> row_b = row_a;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->cc_model.score(row_a)),
+              std::bit_cast<std::uint64_t>(model.score(row_b)))
+        << base;
+  }
 
   EXPECT_TRUE(loaded->has_top_sites);
   EXPECT_EQ(loaded->top_sites.size(), 2u);
@@ -271,22 +180,102 @@ TEST_F(StorageStateTest, DetectorStateFullRoundTrip) {
   EXPECT_EQ(loaded->counters.days_operated, 17u);
 }
 
+/// Month-scale histories: more entries than one front-coding block, hosts
+/// shared across thousands of UA entries.
+DetectorState large_state() {
+  DetectorState state;
+  std::vector<std::string> domains;
+  util::Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    domains.push_back("host-" + std::to_string(rng.next_u64()) + ".example-" +
+                      std::to_string(i % 97) + ".com");
+  }
+  state.domain_history.update(domains);
+  std::vector<std::string> hosts;
+  for (int h = 0; h < 500; ++h) hosts.push_back("ws-" + std::to_string(h));
+  for (int u = 0; u < 3000; ++u) {
+    const std::string ua = "UA-" + std::to_string(u);
+    const std::size_t n = 1 + rng.uniform(11);
+    for (std::size_t i = 0; i < n; ++i) {
+      state.ua_history.observe(ua, hosts[rng.uniform(hosts.size())]);
+    }
+  }
+  return state;
+}
+
 TEST_F(StorageStateTest, EncodeIsIdenticalForAnyThreadCount) {
-  const DetectorState state = sample_state();
-  const std::string one = encode_detector_state(state, 1);
-  const std::string eight = encode_detector_state(state, 8);
-  EXPECT_EQ(one, eight);
+  for (const DetectorState& state : {sample_state(), large_state()}) {
+    const std::string one = encode_detector_state(state, 1);
+    const std::string eight = encode_detector_state(state, 8);
+    EXPECT_EQ(one, eight);
+    // And the large histories decode back entry for entry.
+    LoadStatus status;
+    const auto loaded = decode_detector_state(one, &status);
+    ASSERT_TRUE(loaded.has_value()) << status.detail;
+    EXPECT_EQ(loaded->domain_history.size(), state.domain_history.size());
+    for (const std::string& domain : state.domain_history.domains()) {
+      EXPECT_FALSE(loaded->domain_history.is_new(domain)) << domain;
+    }
+    ASSERT_EQ(loaded->ua_history.distinct_uas(),
+              state.ua_history.distinct_uas());
+    state.ua_history.for_each_entry(
+        [&](const std::string& ua, bool popular,
+            std::span<const std::string_view> hosts) {
+          EXPECT_EQ(loaded->ua_history.is_rare(ua), !popular) << ua;
+          EXPECT_EQ(loaded->ua_history.host_count(ua),
+                    popular ? state.ua_history.rare_threshold() : hosts.size())
+              << ua;
+        });
+  }
 }
 
 TEST_F(StorageStateTest, StateWithoutOptionalSections) {
+  const DetectorState empty;
+  DetectorState one_domain;
+  one_domain.domain_history.update({"only.example"});
+  for (const DetectorState& state : {empty, one_domain}) {
+    ASSERT_TRUE(storage::save_detector_state(state, path("s.bin")));
+    LoadStatus status;
+    const auto loaded = storage::load_detector_state(path("s.bin"), &status);
+    ASSERT_TRUE(loaded.has_value()) << status.detail;
+    EXPECT_EQ(loaded->domain_history.size(), state.domain_history.size());
+    EXPECT_EQ(loaded->domain_history.days_ingested(),
+              state.domain_history.days_ingested());
+    EXPECT_EQ(loaded->ua_history.distinct_uas(), 0u);
+    EXPECT_FALSE(loaded->has_top_sites);
+    EXPECT_TRUE(loaded->intel_domains.empty());
+    EXPECT_FALSE(loaded->training.models_ready);
+  }
+}
+
+TEST_F(StorageStateTest, DuplicateStringsInAStringSetRoundTrip) {
+  // A hand-built state may list a string twice; the string-set encoder
+  // must still write a strictly increasing id run the decoder accepts.
   DetectorState state;
-  state.domain_history.update({"only.example"});
-  ASSERT_TRUE(storage::save_detector_state(state, path("s.bin")));
-  const auto loaded = storage::load_detector_state(path("s.bin"));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_FALSE(loaded->has_top_sites);
-  EXPECT_TRUE(loaded->intel_domains.empty());
-  EXPECT_FALSE(loaded->training.models_ready);
+  state.intel_domains = {"evil.com", "evil.com"};
+  LoadStatus status;
+  const auto loaded = decode_detector_state(encode_detector_state(state),
+                                            &status);
+  ASSERT_TRUE(loaded.has_value()) << status.detail;
+  EXPECT_EQ(loaded->intel_domains, std::vector<std::string>{"evil.com"});
+}
+
+TEST_F(StorageStateTest, InconsistentModelIsMalformed) {
+  // A model that cannot score — zero score scale, or scaler bounds that do
+  // not cover every weight — is rejected on load.
+  for (int variant = 0; variant < 2; ++variant) {
+    DetectorState state = sample_state();
+    if (variant == 0) {
+      state.cc_model.score_scale = 0.0;
+    } else {
+      state.sim_model.scaler.restore({0.0}, {1.0});
+    }
+    LoadStatus status;
+    EXPECT_FALSE(
+        decode_detector_state(encode_detector_state(state), &status).has_value())
+        << variant;
+    EXPECT_EQ(status.error, LoadError::Malformed) << variant;
+  }
 }
 
 // ---- Corruption ----
@@ -366,51 +355,13 @@ TEST_F(StorageStateTest, UnsupportedVersionReported) {
 
 TEST_F(StorageStateTest, MissingSectionReported) {
   // A valid container holding only a string table is not a detector state.
-  profile::DomainHistory history;
-  history.update({"a.com"});
-  ASSERT_TRUE(storage::save_domain_history(history, path("d.bin")));
+  ContainerWriter writer;
+  writer.add_section(SectionId::StringTable, std::string(1, '\0'));
+  write_bytes(path("t.bin"), writer.encode());
   LoadStatus status;
-  EXPECT_FALSE(storage::load_detector_state(path("d.bin"), &status).has_value());
+  EXPECT_FALSE(storage::load_detector_state(path("t.bin"), &status).has_value());
   EXPECT_EQ(status.error, LoadError::MissingSection);
-  // And the reverse: a full state is not rejected as a domain history
-  // (it has the section), but a ua-only file is.
-  ASSERT_TRUE(storage::save_ua_history(profile::UaHistory(5), path("u.bin")));
-  EXPECT_FALSE(storage::load_domain_history(path("u.bin"), &status).has_value());
-  EXPECT_EQ(status.error, LoadError::MissingSection);
-}
-
-// ---- Text migration ----
-
-TEST_F(StorageStateTest, TextToBinaryMigrationPreservesHistories) {
-  profile::DomainHistory domains;
-  domains.update({"alpha.example", "beta.example"});
-  domains.update({"gamma.example"});
-  profile::UaHistory uas(3);
-  uas.observe("UA-pop", "h1");
-  uas.observe("UA-pop", "h2");
-  uas.observe("UA-pop", "h3");
-  uas.observe("UA-rare", "h2");
-
-  // Save legacy text, load through the shared entry points.
-  ASSERT_TRUE(profile::save_domain_history(domains, path("d.txt")));
-  ASSERT_TRUE(profile::save_ua_history(uas, path("u.txt")));
-  const auto text_domains = profile::load_domain_history(path("d.txt"));
-  const auto text_uas = profile::load_ua_history(path("u.txt"));
-  ASSERT_TRUE(text_domains && text_uas);
-
-  // Convert to binary and load again through the same entry points.
-  ASSERT_TRUE(storage::save_domain_history(*text_domains, path("d.bin")));
-  ASSERT_TRUE(storage::save_ua_history(*text_uas, path("u.bin")));
-  const auto bin_domains = profile::load_domain_history(path("d.bin"));
-  const auto bin_uas = profile::load_ua_history(path("u.bin"));
-  ASSERT_TRUE(bin_domains && bin_uas);
-
-  EXPECT_EQ(bin_domains->size(), domains.size());
-  EXPECT_EQ(bin_domains->days_ingested(), domains.days_ingested());
-  EXPECT_FALSE(bin_domains->is_new("gamma.example"));
-  EXPECT_EQ(bin_uas->rare_threshold(), 3u);
-  EXPECT_FALSE(bin_uas->is_rare("UA-pop"));
-  EXPECT_EQ(bin_uas->host_count("UA-rare"), 1u);
+  EXPECT_NE(status.detail.find("config"), std::string::npos) << status.detail;
 }
 
 }  // namespace
