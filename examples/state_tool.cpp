@@ -112,32 +112,15 @@ int inspect_chain(const std::filesystem::path& chain_path,
   return 0;
 }
 
-/// Per-section report for one EIDSTOR1 container (a full state or one
-/// delta-frame payload), then a decode of the whole container. Returns 0
-/// when it decodes.
-int deep_verify_container(const std::string& bytes, const char* label,
-                          bool is_frame) {
-  storage::LoadStatus status;
-  const auto reader = storage::ContainerReader::parse(bytes, &status);
-  if (!reader) {
-    print_failure(label, status);
-    return 2;
-  }
-  for (const storage::Section& section : reader->sections()) {
+/// One line per section of a parsed container (parsing verified every
+/// section CRC).
+void print_sections(const storage::ContainerReader& reader) {
+  for (const storage::Section& section : reader.sections()) {
     std::printf("  %-14s id=%-3llu %10zu bytes  crc ok\n",
                 section_name(section.id),
                 static_cast<unsigned long long>(section.id),
                 section.payload.size());
   }
-  const bool ok = is_frame
-                      ? storage::decode_delta_frame(bytes, &status).has_value()
-                      : storage::decode_detector_state(bytes, &status).has_value();
-  if (!ok) {
-    print_failure(label, status);
-    return 2;
-  }
-  std::printf("  %s decodes\n", is_frame ? "delta frame" : "checkpoint");
-  return 0;
 }
 
 /// Deep verify of a delta chain: per-frame CRC (the scan) + full decode.
@@ -162,14 +145,13 @@ int deep_verify_chain(const std::filesystem::path& chain_path) {
       return 2;
     }
     std::printf("frame %zu @%llu: %zu bytes, crc ok, seq %llu, day %s, "
-                "base crc %08llx\n",
+                "base crc %08llx, decodes\n",
                 i, static_cast<unsigned long long>(frame.offset),
                 frame.payload.size(),
                 static_cast<unsigned long long>(decoded->header.seq),
                 util::format_day(decoded->header.day).c_str(),
                 static_cast<unsigned long long>(decoded->header.base_crc));
-    const int rc = deep_verify_container(frame.payload, "verify", true);
-    if (rc != 0) return rc;
+    print_sections(*storage::ContainerReader::parse(frame.payload));
   }
   if (info.torn_tail) {
     std::printf("note: torn tail past byte %llu (%s) — recoverable, the "
@@ -191,11 +173,7 @@ int inspect_container(const std::string& bytes) {
               static_cast<unsigned long long>(storage::kFormatVersion));
   std::printf("size: %zu bytes, %zu section(s)\n", bytes.size(),
               reader->sections().size());
-  for (const storage::Section& section : reader->sections()) {
-    std::printf("  %-14s id=%-3llu %10zu bytes\n", section_name(section.id),
-                static_cast<unsigned long long>(section.id),
-                section.payload.size());
-  }
+  print_sections(*reader);
   status = {};
   const auto state = storage::decode_detector_state(bytes, &status);
   if (!state) {
@@ -276,30 +254,33 @@ int cmd_verify(const std::filesystem::path& path, bool deep) {
                 info.frames.size());
     return 0;
   }
-  if (deep) {
+  const auto reader = storage::ContainerReader::parse(*bytes, &status);
+  if (deep && reader) {
     std::printf("deep verify %s:\n", path.string().c_str());
-    const int rc = deep_verify_container(*bytes, "verify", false);
-    if (rc != 0) return rc;
-    // A full checkpoint's companion chain is part of its durability story:
-    // verify it too when present.
-    const std::filesystem::path chain_path = storage::delta_chain_path(path);
-    std::error_code ec;
-    if (std::filesystem::exists(chain_path, ec)) {
-      const int chain_rc = deep_verify_chain(chain_path);
-      if (chain_rc != 0) return chain_rc;
-    }
-    std::printf("OK: deep verify passed\n");
-    return 0;
+    print_sections(*reader);
   }
   // Structure + CRCs, then a full decode so semantic corruption (bad ids,
   // inconsistent dimensions) fails too.
-  const auto reader = storage::ContainerReader::parse(*bytes, &status);
   if (!reader || !storage::decode_detector_state(*bytes, &status)) {
     print_failure("verify", status);
     return 2;
   }
-  std::printf("OK: container verified (%zu section(s), all checksums good)\n",
-              reader->sections().size());
+  if (!deep) {
+    std::printf("OK: container verified (%zu section(s), all checksums "
+                "good)\n",
+                reader->sections().size());
+    return 0;
+  }
+  std::printf("  checkpoint decodes\n");
+  // A full checkpoint's companion chain is part of its durability story:
+  // verify it too when present.
+  const std::filesystem::path chain_path = storage::delta_chain_path(path);
+  std::error_code ec;
+  if (std::filesystem::exists(chain_path, ec)) {
+    const int chain_rc = deep_verify_chain(chain_path);
+    if (chain_rc != 0) return chain_rc;
+  }
+  std::printf("OK: deep verify passed\n");
   return 0;
 }
 
