@@ -18,7 +18,11 @@
 //     day's save_state_delta (base + growing frame chain);
 //   * fixture_next_day — the report the committed fixture's base
 //     checkpoint (tests/golden/v1_chain.state) produces for its next day;
-//     see RetiredChainFixture.
+//     see RetiredChainFixture;
+//   * batch_day_<i> — day_report_to_json of each day of one 3-day
+//     run_days over the operation days;
+//   * rt_emissions_tick_<s> — the ContinuousEngine's emission sequence
+//     over the same 3 days at tick size s (300 and 3600).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,6 +40,7 @@
 #include "api/event_source.h"
 #include "core/report_json.h"
 #include "profile/top_sites.h"
+#include "rt/engine.h"
 #include "sim/ac.h"
 #include "storage/delta.h"
 #include "storage/state.h"
@@ -161,6 +166,13 @@ class GoldenTest : public ::testing::Test {
         detector.run_day(source, operation_[index].first, seeds_));
   }
 
+  /// The operation days as one multi-day source.
+  std::vector<std::vector<logs::ConnEvent>> operation_days() const {
+    std::vector<std::vector<logs::ConnEvent>> days;
+    for (const auto& [day, events] : operation_) days.push_back(events);
+    return days;
+  }
+
   /// Compare against the committed digest, or record it under --update.
   void check(const std::string& name, std::string_view bytes) {
     const std::string actual = digest(bytes);
@@ -238,6 +250,52 @@ TEST_F(GoldenTest, ResumedDayReports) {
     check("resume_day_" + std::to_string(d), run_operation_day(resumed, d));
     ASSERT_TRUE(resumed.save_state_delta(path, policy, &status))
         << status.detail;
+  }
+}
+
+TEST_F(GoldenTest, BatchRunDaysReports) {
+  api::Detector detector = make_detector();
+  train(detector, true);
+  const auto days = operation_days();
+  api::MultiDaySource source(operation_[0].first, &days);
+  const std::vector<core::DayReport> reports =
+      detector.run_days(source, seeds_);
+  ASSERT_EQ(reports.size(), static_cast<std::size_t>(kOperationDays));
+  for (int d = 0; d < kOperationDays; ++d) {
+    check("batch_day_" + std::to_string(d),
+          core::day_report_to_json(reports[d]));
+  }
+}
+
+/// One line per emission, every field, in emission order.
+std::string emissions_text(const std::vector<rt::IncidentEmission>& emissions) {
+  std::ostringstream out;
+  for (const rt::IncidentEmission& e : emissions) {
+    out << e.incident_id << ' ' << e.provisional << ' ' << e.new_incident
+        << ' ' << e.day << ' ' << e.event_time << ' ' << e.emission_time
+        << ' ' << e.latency_seconds << " domains";
+    for (const std::string& domain : e.domains) out << ' ' << domain;
+    out << " hosts";
+    for (const std::string& host : e.hosts) out << ' ' << host;
+    out << '\n';
+  }
+  return out.str();
+}
+
+TEST_F(GoldenTest, ContinuousEmissionSequence) {
+  const auto days = operation_days();
+  for (const std::int64_t tick : {std::int64_t{300}, std::int64_t{3600}}) {
+    api::Detector detector = make_detector();
+    train(detector, true);
+    rt::EngineConfig config;
+    config.window.tick_seconds = tick;
+    config.seeds = seeds_;
+    api::MultiDaySource source(operation_[0].first, &days);
+    const rt::ContinuousReport report = detector.run_continuous(source, config);
+    ASSERT_EQ(report.days.size(), static_cast<std::size_t>(kOperationDays));
+    ASSERT_GT(report.stats.provisional_emissions, 0u);
+    check("rt_emissions_tick_" + std::to_string(tick),
+          emissions_text(report.emissions));
   }
 }
 
