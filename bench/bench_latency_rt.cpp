@@ -26,7 +26,6 @@
 // Pass --json[=path] to record the results as the "latency_rt" section of
 // BENCH_perf.json at the repo root (run from the repo root).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -37,16 +36,12 @@
 #include "bench_common.h"
 #include "core/report_json.h"
 #include "eval/ac_runner.h"
+#include "obs/trace.h"
 #include "rt/engine.h"
 
 namespace {
 
 using namespace eid;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// Nearest-rank percentile of an (unsorted) sample; 0 when empty.
 double percentile(std::vector<double> sample, double p) {
@@ -148,9 +143,9 @@ int main(int argc, char** argv) {
   {
     api::Detector detector = fresh_detector();
     api::VectorSource source(day, &events);
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = obs::Clock::now();
     const core::DayReport report = detector.run_day(source, day, seeds);
-    batch_seconds = seconds_since(start);
+    batch_seconds = obs::seconds_since(start);
     baseline = core::day_report_to_json(report);
     std::printf("batch run_day: %.3fs, %zu C&C, %zu no-hint, %zu soc-hints\n",
                 batch_seconds, report.cc_domains.size(),
@@ -164,10 +159,10 @@ int main(int argc, char** argv) {
     config.window.incremental = incremental;
     config.seeds = seeds;
     api::VectorSource source(day, &events);
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = obs::Clock::now();
     ModeResult r;
     r.report = detector.run_continuous(source, config);
-    r.run_seconds = seconds_since(start);
+    r.run_seconds = obs::seconds_since(start);
     r.tick_p50_seconds = percentile(r.report.tick_eval_seconds, 0.50);
     r.tick_p99_seconds = percentile(r.report.tick_eval_seconds, 0.99);
     r.peak_buffered_events = r.report.stats.peak_buffered_events;

@@ -171,8 +171,7 @@ BENCHMARK(BM_DetectorIngestProfile);
 
 void BM_ExecutorDispatch(benchmark::State& state) {
   // One 8-range fan-out over the persistent pool — the steady-state cost
-  // every per-day stage pays. Compare with BM_ThreadSpawnDispatch below:
-  // the gap is what the executor saves, hundreds of times per day.
+  // every per-day stage pays.
   util::Executor executor(7);
   std::atomic<std::size_t> sink{0};
   for (auto _ : state) {
@@ -186,21 +185,6 @@ void BM_ExecutorDispatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
 }
 BENCHMARK(BM_ExecutorDispatch);
-
-void BM_ThreadSpawnDispatch(benchmark::State& state) {
-  // The same 8-range fan-out through the spawning util::parallel_ranges —
-  // a fresh std::thread per range per call, the pre-executor baseline.
-  std::atomic<std::size_t> sink{0};
-  for (auto _ : state) {
-    util::parallel_ranges(8, 8,
-                          [&](std::size_t, std::size_t begin, std::size_t) {
-                            sink.fetch_add(begin, std::memory_order_relaxed);
-                          });
-  }
-  benchmark::DoNotOptimize(sink.load());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
-}
-BENCHMARK(BM_ThreadSpawnDispatch);
 
 void BM_MetricsCounter(benchmark::State& state) {
   // The raw cost of one enabled counter increment: a thread-shard lookup

@@ -14,7 +14,6 @@
 // corp hosts that used the UA — host names repeat across thousands of UA
 // entries, which is exactly what the shared interned string table
 // collapses to 1-3 byte ids.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "obs/trace.h"
 #include "storage/delta.h"
 #include "storage/state.h"
 #include "util/crc32.h"
@@ -119,11 +119,9 @@ Corpus build_corpus() {
 double seconds_of(const std::function<void()>& fn, int reps = 3) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = obs::Clock::now();
     fn();
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    const double s = obs::seconds_since(start);
     if (s < best) best = s;
   }
   return best;

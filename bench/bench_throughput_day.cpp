@@ -19,14 +19,15 @@
 // 1:1,2:2,4:4,8:8,8:8:2 (the trailing config adds depth-2 day
 // pipelining: day N's finalize/score/commit overlaps day N+1's ingest).
 //
-// analysis_seconds is wall time minus the measured score+BP stage — the
-// day-analysis engine's share of the run, comparable across depths (with
-// depth > 1 the stage sums exceed wall because they overlap; wall is what
-// an operator waits for). The "ingest" stage is reported as the residual
-// wall - finalize - rare - automation - score_bp, which with depth > 1
-// absorbs the overlap win and can undercut true ingest cost.
+// Every stage — ingest (DayGraph::add_events), finalize, rare, automation,
+// score+BP (report_day) and the history commit — is measured directly: its
+// seconds are the run's delta of the library's own eid_*_seconds
+// histograms, the instruments the production /metrics exposition reads.
+// analysis_seconds is wall time minus score+BP — the day-analysis engine's
+// share of the run, comparable across depths (with depth > 1 the stage
+// sums exceed wall because they overlap; wall is what an operator waits
+// for).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,24 +42,24 @@
 #include "bench_common.h"
 #include "core/pipeline.h"
 #include "core/report_json.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/enterprise.h"
 
 namespace {
 
 using namespace eid;
-using clock_type = std::chrono::steady_clock;
-
-double seconds_since(clock_type::time_point start) {
-  return std::chrono::duration<double>(clock_type::now() - start).count();
-}
 
 struct ConfigResult {
   core::Parallelism parallelism;
-  double wall = 0.0;      ///< the full analyze_days run
-  double finalize = 0.0;  ///< CSR finalize (from DayAnalysis stage clocks)
+  double wall = 0.0;  ///< the full analyze_days run
+  // Stage seconds summed over the run's days (histogram deltas).
+  double ingest = 0.0;    ///< DayGraph::add_events
+  double finalize = 0.0;  ///< CSR finalize
   double rare = 0.0;
   double automation = 0.0;
   double score_bp = 0.0;  ///< report_day (thresholds + both BP modes)
+  double history_commit = 0.0;
   std::size_t events = 0;
   std::size_t detections = 0;   ///< headline count for the console line
   std::string report_digest;    ///< all DayReport JSON, concatenated —
@@ -66,12 +67,29 @@ struct ConfigResult {
 
   /// Day-analysis share of the run: everything but score+BP.
   double analysis() const { return std::max(0.0, wall - score_bp); }
-  /// Wall not attributed to a measured stage (chunk ingest + overhead;
-  /// with depth > 1, minus whatever the pipelining overlapped away).
-  double ingest() const {
-    return std::max(0.0, wall - finalize - rare - automation - score_bp);
-  }
 };
+
+const obs::HistogramSnapshot* find_histogram(
+    const obs::MetricsSnapshot& snapshot, const char* name) {
+  for (const obs::HistogramSnapshot& h : snapshot.histograms) {
+    if (h.name == name) return &h;
+  }
+  return nullptr;
+}
+
+/// Seconds a stage histogram accumulated between two snapshots. Stages
+/// register their histogram on first use, so `before` may lack it; the run
+/// must not.
+double histogram_delta(const obs::MetricsSnapshot& before,
+                       const obs::MetricsSnapshot& after, const char* name) {
+  const obs::HistogramSnapshot* end = find_histogram(after, name);
+  if (end == nullptr) {
+    std::fprintf(stderr, "FATAL: no histogram %s\n", name);
+    std::exit(1);
+  }
+  const obs::HistogramSnapshot* start = find_histogram(before, name);
+  return end->sum - (start != nullptr ? start->sum : 0.0);
+}
 
 sim::SimConfig workload_config() {
   // Analysis-heavy enterprise day: a large browse tail (rare-destination
@@ -104,21 +122,27 @@ ConfigResult run_config(const core::Parallelism& parallelism,
   result.parallelism = parallelism;
   core::Pipeline& pipeline = detector.pipeline();
   api::MultiDaySource source(day0 + 1, &days);
-  const auto start = clock_type::now();
+  const obs::MetricsSnapshot before = obs::metrics().snapshot();
+  const auto start = obs::Clock::now();
   const api::IngestReport ingest = detector.analyze_days(
       source, [&](util::Day, const core::DayAnalysis& analysis) {
-        result.finalize += analysis.stage_seconds.finalize;
-        result.rare += analysis.stage_seconds.rare;
-        result.automation += analysis.stage_seconds.automation;
-        const auto score_start = clock_type::now();
         const core::DayReport report = pipeline.report_day(analysis, {});
-        result.score_bp += seconds_since(score_start);
         result.detections +=
             report.automated_scores.size() + report.nohint.domains.size();
         result.report_digest += core::day_report_to_json(report);
       });
-  result.wall = seconds_since(start);
+  result.wall = obs::seconds_since(start);
   result.events = ingest.events;
+  const obs::MetricsSnapshot after = obs::metrics().snapshot();
+  result.ingest = histogram_delta(before, after, "eid_ingest_seconds");
+  result.finalize =
+      histogram_delta(before, after, "eid_pipeline_finalize_seconds");
+  result.rare = histogram_delta(before, after, "eid_pipeline_rare_seconds");
+  result.automation =
+      histogram_delta(before, after, "eid_pipeline_automation_seconds");
+  result.score_bp = histogram_delta(before, after, "eid_pipeline_report_seconds");
+  result.history_commit =
+      histogram_delta(before, after, "eid_pipeline_history_commit_seconds");
   return result;
 }
 
@@ -229,12 +253,12 @@ int main(int argc, char** argv) {
     std::printf(
         "threads=%zu shards=%zu depth=%zu  %10.0f events/s  wall=%.3fs "
         "analysis=%.3fs (ingest=%.3f finalize=%.3f rare=%.3f "
-        "automation=%.3f) score+bp=%.3fs  detections=%zu\n",
+        "automation=%.3f commit=%.3f) score+bp=%.3fs  detections=%zu\n",
         r.parallelism.threads, r.parallelism.shards,
         r.parallelism.pipeline_depth,
         static_cast<double>(r.events) / r.wall, r.wall, r.analysis(),
-        r.ingest(), r.finalize, r.rare, r.automation, r.score_bp,
-        r.detections);
+        r.ingest, r.finalize, r.rare, r.automation, r.history_commit,
+        r.score_bp, r.detections);
   }
   const double speedup = results.back().analysis() > 0.0
                              ? results.front().analysis() /
@@ -275,10 +299,11 @@ int main(int argc, char** argv) {
          << static_cast<double>(r.events) / r.wall
          << ", \"wall_seconds\": " << r.wall
          << ", \"analysis_seconds\": " << r.analysis()
-         << ", \"stages\": {\"ingest\": " << r.ingest()
+         << ", \"stages\": {\"ingest\": " << r.ingest
          << ", \"finalize\": " << r.finalize << ", \"rare\": " << r.rare
          << ", \"automation\": " << r.automation
-         << ", \"score_bp\": " << r.score_bp << "}}";
+         << ", \"score_bp\": " << r.score_bp
+         << ", \"history_commit\": " << r.history_commit << "}}";
   }
   body << "\n    ],\n    \"analysis_speedup_last_vs_first\": " << speedup
        << "\n  }";

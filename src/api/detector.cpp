@@ -14,7 +14,6 @@
 #include "features/similarity_features.h"
 #include "storage/delta.h"
 #include "storage/state.h"
-#include "util/crc32.h"
 #include "util/executor.h"
 
 namespace eid::api {
@@ -251,9 +250,10 @@ bool Detector::full_checkpoint(const std::filesystem::path& path,
   export_unfinalized_rows(pipeline_, 0, 0, rows);
   const storage::StateView state = make_state_view(
       pipeline_, intel_domains_, days_operated_, rows.empty() ? nullptr : &rows);
-  const std::string bytes = storage::encode_state(
-      state, pipeline_.config().parallelism.threads, pipeline_.executor());
-  if (!storage::write_file_atomic(path, bytes, status)) {
+  std::uint32_t base_crc = 0;
+  if (!storage::save_detector_state(state, path,
+                                    pipeline_.config().parallelism.threads,
+                                    status, pipeline_.executor(), &base_crc)) {
     delta_.active = false;
     return false;
   }
@@ -266,7 +266,7 @@ bool Detector::full_checkpoint(const std::filesystem::path& path,
   }
   delta_.active = true;
   delta_.path = path;
-  delta_.base_crc = util::crc32(bytes);
+  delta_.base_crc = base_crc;
   delta_.next_seq = 1;
   delta_.saves_since_full = 0;
   delta_.cc_rows_mark = pipeline_.cc_training_rows();
@@ -313,9 +313,8 @@ bool Detector::save_state_delta(const std::filesystem::path& path,
   view.intel_domains = delta_.intel_dirty ? &intel_domains_ : nullptr;
   view.top_sites = delta_.top_sites_dirty ? pipeline_.top_sites() : nullptr;
   view.frame = &frame;
-  const std::string payload = storage::encode_state(view);
-  if (!storage::append_delta_frame(storage::delta_chain_path(path), payload,
-                                   status)) {
+  if (!storage::save_detector_state(view, storage::delta_chain_path(path), 1,
+                                    status)) {
     // The drained journal is gone; cold-start the chain so the next save
     // full-rewrites and nothing is lost.
     delta_.active = false;
@@ -327,7 +326,6 @@ bool Detector::save_state_delta(const std::filesystem::path& path,
   delta_.sim_rows_mark = pipeline_.sim_training_rows();
   delta_.intel_dirty = false;
   delta_.top_sites_dirty = false;
-  obs::metrics().counter("eid_state_delta_frames_total").add(1);
   return true;
 }
 

@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -10,10 +9,9 @@
 namespace eid::core {
 namespace {
 
-/// Stage timing on the process registry. DayStageSeconds already measures
-/// finalize/rare/automation per day for DayAnalysis consumers; these
-/// histograms generalize that to a fleet view across every day any
-/// Pipeline in the process analyzes.
+/// Stage timing on the process registry, fed by the stages' TraceSpans
+/// for every day any Pipeline in the process analyzes — the one per-stage
+/// record benches and the /metrics exposition both read.
 struct PipelineMetrics {
   obs::Counter& days = obs::metrics().counter("eid_pipeline_days_finished_total");
   obs::Counter& events = obs::metrics().counter("eid_pipeline_day_events_total");
@@ -87,7 +85,7 @@ void Pipeline::profile_day(const std::vector<logs::ConnEvent>& events) {
 }
 
 void Pipeline::finish_profile(ProfileAccumulator&& accumulator) {
-  const obs::TraceSpan span("profile_commit");
+  const obs::TraceSpan span("profile_commit", pipeline_metrics().history);
   domain_history_.update(
       {accumulator.domains_.begin(), accumulator.domains_.end()});
   for (const auto& [ua, hosts] : accumulator.ua_hosts_) {
@@ -103,8 +101,7 @@ void Pipeline::update_histories(const std::vector<logs::ConnEvent>& events) {
 }
 
 void Pipeline::update_histories(const graph::DayGraph& graph) {
-  const obs::TraceSpan span("history_commit");
-  const auto start = std::chrono::steady_clock::now();
+  const obs::TraceSpan span("history_commit", pipeline_metrics().history);
   profile::update_history(domain_history_, graph);
   // for_each_edge visits in (host, domain) order; the histories only take
   // set unions, so they never depended on the old hash iteration order.
@@ -114,9 +111,6 @@ void Pipeline::update_histories(const graph::DayGraph& graph) {
       ua_history_.observe(graph.ua_name(ua), graph.host_name(host));
     }
   });
-  pipeline_metrics().history.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
 }
 
 DayAnalysis Pipeline::analyze_day(const std::vector<logs::ConnEvent>& events,
@@ -133,10 +127,6 @@ DayAnalysis Pipeline::finish_day(DayAccumulator&& accumulator) const {
 
 DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
                                        std::size_t events) const {
-  using clock = std::chrono::steady_clock;
-  const auto seconds_since = [](clock::time_point start) {
-    return std::chrono::duration<double>(clock::now() - start).count();
-  };
   const std::size_t threads = config_.parallelism.threads;
   PipelineMetrics& metrics = pipeline_metrics();
   const obs::TraceSpan day_span("finish_day");
@@ -145,18 +135,14 @@ DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
   analysis.day = day;
   analysis.event_count = events;
   analysis.graph = std::move(graph);
-  auto stage_start = clock::now();
   {
-    const obs::TraceSpan span("csr_finalize");
+    const obs::TraceSpan span("csr_finalize", metrics.finalize);
     analysis.graph.finalize(threads);
   }
-  analysis.stage_seconds.finalize = seconds_since(stage_start);
-  metrics.finalize.observe(analysis.stage_seconds.finalize);
 
-  stage_start = clock::now();
   profile::RareExtraction rare;
   {
-    const obs::TraceSpan span("rare_extraction");
+    const obs::TraceSpan span("rare_extraction", metrics.rare);
     rare = profile::extract_rare_destinations(
         analysis.graph, domain_history_, config_.popularity_threshold, threads,
         executor_.get());
@@ -165,22 +151,17 @@ DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
                                                     rare.rare_domains,
                                                     *top_sites_);
     }
+    analysis.rare.insert(rare.rare_domains.begin(), rare.rare_domains.end());
+    analysis.new_domains = rare.new_domains;
+    analysis.total_domains = rare.total_domains;
   }
-  analysis.rare.insert(rare.rare_domains.begin(), rare.rare_domains.end());
-  analysis.new_domains = rare.new_domains;
-  analysis.total_domains = rare.total_domains;
-  analysis.stage_seconds.rare = seconds_since(stage_start);
-  metrics.rare.observe(analysis.stage_seconds.rare);
 
-  stage_start = clock::now();
-  const timing::PeriodicityDetector detector(config_.periodicity);
   {
-    const obs::TraceSpan span("automation_scan");
+    const obs::TraceSpan span("automation_scan", metrics.automation);
+    const timing::PeriodicityDetector detector(config_.periodicity);
     analysis.automation = features::AutomationAnalysis::analyze(
         analysis.graph, rare.rare_domains, detector, threads, executor_.get());
   }
-  analysis.stage_seconds.automation = seconds_since(stage_start);
-  metrics.automation.observe(analysis.stage_seconds.automation);
   metrics.days.add(1);
   metrics.events.add(analysis.event_count);
   if (whois_samples_ > 0) {
@@ -411,8 +392,7 @@ BpRunReport Pipeline::run_bp_sochints(const DayAnalysis& analysis,
 
 DayReport Pipeline::report_day(const DayAnalysis& analysis,
                                const SocSeeds& seeds) const {
-  const obs::TraceSpan day_span("report_day");
-  const auto report_start = std::chrono::steady_clock::now();
+  const obs::TraceSpan day_span("report_day", pipeline_metrics().report);
   DayReport report;
   report.day = analysis.day;
   report.events = analysis.event_count;
@@ -434,10 +414,6 @@ DayReport Pipeline::report_day(const DayAnalysis& analysis,
     const obs::TraceSpan span("bp_sochints");
     report.sochints = run_bp_sochints(analysis, seeds);
   }
-  pipeline_metrics().report.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    report_start)
-          .count());
   return report;
 }
 

@@ -79,14 +79,6 @@ struct PipelineConfig {
   Parallelism parallelism{};   ///< day-path threads + ingest shards
 };
 
-/// Wall-clock seconds per finish_day stage — perf diagnostics for the
-/// throughput bench; not part of the result contract.
-struct DayStageSeconds {
-  double finalize = 0.0;    ///< shard merge + CSR build + timestamp sort
-  double rare = 0.0;        ///< rare-destination extraction
-  double automation = 0.0;  ///< per-edge periodicity scan
-};
-
 /// Everything computed about one day before any thresholding.
 struct DayAnalysis {
   util::Day day = 0;
@@ -97,7 +89,6 @@ struct DayAnalysis {
   std::size_t event_count = 0;
   std::size_t new_domains = 0;    ///< new regardless of popularity
   std::size_t total_domains = 0;
-  DayStageSeconds stage_seconds{};
 };
 
 /// A detected domain with its provenance, reported by name so results

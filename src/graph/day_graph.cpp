@@ -15,6 +15,8 @@ namespace {
 struct IngestMetrics {
   obs::Counter& chunks = obs::metrics().counter("eid_ingest_chunks_total");
   obs::Counter& events = obs::metrics().counter("eid_ingest_events_total");
+  obs::Histogram& seconds =
+      obs::metrics().histogram("eid_ingest_seconds", obs::duration_buckets());
 };
 
 IngestMetrics& ingest_metrics() {
@@ -151,8 +153,8 @@ void DayGraph::add_events(std::span<const logs::ConnEvent> events) {
   }
   if (events.empty()) return;
   times_sorted_ = false;
-  const obs::TraceSpan span("ingest_chunk", "ingest");
   IngestMetrics& metrics = ingest_metrics();
+  const obs::TraceSpan span("ingest_chunk", metrics.seconds, "ingest");
   metrics.chunks.add(1);
   metrics.events.add(events.size());
   // Small batches (and the one-shard case) dispatch directly — staging

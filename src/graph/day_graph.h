@@ -111,7 +111,7 @@ class DayGraph {
  public:
   DayGraph() : DayGraph(1) {}
   /// `executor` (optional) carries the sharded ingest and finalize
-  /// fan-outs on a persistent worker pool instead of spawning threads;
+  /// fan-outs on a persistent worker pool; without one they run inline.
   /// core::Pipeline::begin_day wires its own pool through here. Results
   /// are identical either way.
   explicit DayGraph(std::size_t n_shards,
@@ -272,7 +272,7 @@ class DayGraph {
 
   // ---- ingest state (consumed by finalize) ----
   std::vector<DayShard> shards_;
-  std::shared_ptr<util::Executor> executor_;  ///< nullptr = spawning fallback
+  std::shared_ptr<util::Executor> executor_;  ///< nullptr = run fan-outs inline
   std::uint64_t seq_ = 0;  ///< global arrival counter
   bool times_sorted_ = true;  ///< every edge's times sorted (trivially, when empty)
   struct Routed {

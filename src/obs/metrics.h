@@ -10,8 +10,9 @@
 //     touch, workers first), so concurrent increments from a fan-out
 //     never bounce a cache line. A snapshot merges the shards.
 //   * Disabled observability must cost (almost) nothing. Every mutation
-//     checks one relaxed atomic bool and branches away; no clock reads,
-//     no allocation, no locking on that path. bench_perf_pipeline's
+//     checks one relaxed atomic bool and branches away; no allocation, no
+//     locking on that path. (Stage timing is obs::TraceSpan's job: two
+//     clock reads per stage either way, obs/trace.h.) bench_perf_pipeline's
 //     BM_MetricsCounter* and the enabled-vs-disabled day-analysis pair
 //     keep the overhead measured (<1% of day throughput).
 //   * Observation must never perturb detection. Metrics are a pure side

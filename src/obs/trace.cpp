@@ -1,8 +1,9 @@
 #include "obs/trace.h"
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
+
+#include "obs/metrics.h"
 
 namespace eid::obs {
 
@@ -10,6 +11,7 @@ namespace {
 
 std::atomic<TraceSink*> g_sink{nullptr};
 std::atomic<std::uint32_t> g_next_thread_id{1};
+const Clock::time_point g_epoch = Clock::now();
 
 }  // namespace
 
@@ -19,12 +21,10 @@ void set_trace_sink(TraceSink* sink) {
 
 TraceSink* trace_sink() { return g_sink.load(std::memory_order_acquire); }
 
-std::uint64_t trace_now_us() {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point epoch = clock::now();
+std::uint64_t trace_us(Clock::time_point t) {
+  if (t <= g_epoch) return 0;
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
-                                                            epoch)
+      std::chrono::duration_cast<std::chrono::microseconds>(t - g_epoch)
           .count());
 }
 
@@ -32,6 +32,17 @@ std::uint32_t trace_thread_id() {
   thread_local const std::uint32_t id =
       g_next_thread_id.fetch_add(1, std::memory_order_relaxed);
   return id;
+}
+
+void TraceSpan::finish(Clock::time_point end) {
+  stopped_ = true;
+  seconds_ = std::chrono::duration<double>(end - start_).count();
+  if (histogram_ != nullptr) histogram_->observe(seconds_);
+  if (sink_ != nullptr) {
+    const std::uint64_t start_us = trace_us(start_);
+    sink_->record_complete(name_, category_, start_us,
+                           trace_us(end) - start_us);
+  }
 }
 
 void TraceSink::record_complete(const char* name, const char* category,

@@ -1,14 +1,21 @@
-// Scoped-span tracing emitted as Chrome trace-event JSON — load the
-// written file in Perfetto (ui.perfetto.dev) or chrome://tracing to see
-// every pipeline stage, executor dispatch, rt tick and state save/load
-// laid out on a per-thread timeline.
+// The one stage-timing primitive (obs::TraceSpan) on the one clock alias
+// (obs::Clock), plus scoped-span tracing emitted as Chrome trace-event
+// JSON — load the written file in Perfetto (ui.perfetto.dev) or
+// chrome://tracing to see every pipeline stage, executor dispatch, rt
+// tick and state save/load laid out on a per-thread timeline.
+//
+// A TraceSpan reads obs::Clock exactly twice, at construction and at
+// stop() (or destruction), and feeds everything from those two reads: the
+// optional histogram observation (when metrics are enabled), the trace
+// event (when a sink is installed) and the seconds stop() returns. Spans
+// are stage/chunk-grained, never per event, so the two reads are noise
+// next to the stage they time. Benches read the same histograms the
+// production /metrics exposition does.
 //
 // One process-wide sink pointer (obs::set_trace_sink) mirrors the metrics
-// registry's default-instance design: instrumented call sites construct a
-// TraceSpan unconditionally, and when no sink is installed the span is a
-// single relaxed atomic load — no clock read, no allocation. Recording a
-// span appends one complete ("ph":"X") event under the sink's mutex;
-// spans are stage/chunk-grained (never per event), so the lock is cold.
+// registry's default-instance design. Recording a span appends one
+// complete ("ph":"X") event under the sink's mutex; spans are coarse, so
+// the lock is cold.
 //
 // Tracing is a pure side channel like the metrics registry: enabling it
 // never changes a DayReport (determinism_test / rt_continuous_test run
@@ -21,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -29,6 +37,18 @@
 #include <vector>
 
 namespace eid::obs {
+
+/// The process's one monotonic clock: stage timings, trace timestamps,
+/// real-time pacing and the benches' wall timers all read it, so every
+/// figure agrees on what a second is.
+using Clock = std::chrono::steady_clock;
+
+/// Seconds elapsed on Clock since `start`.
+inline double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+class Histogram;
 
 class TraceSink {
  public:
@@ -76,38 +96,57 @@ class TraceSink {
 void set_trace_sink(TraceSink* sink);
 TraceSink* trace_sink();
 
-/// Microseconds since process start on the steady clock — the trace
-/// timeline.
-std::uint64_t trace_now_us();
+/// Microseconds from process start to `t` on Clock — the trace timeline.
+std::uint64_t trace_us(Clock::time_point t);
+
+/// trace_us(Clock::now()).
+inline std::uint64_t trace_now_us() { return trace_us(Clock::now()); }
 
 /// Small dense id of the calling thread (Perfetto's track key).
 std::uint32_t trace_thread_id();
 
-/// RAII span: records [construction, destruction) as one complete event
-/// when a sink was installed at construction. `name` and `category` must
-/// be string literals (or otherwise outlive the sink).
+/// RAII stage timer: [construction, stop()) — or destruction, whichever
+/// comes first — is observed into `histogram` (if given) and recorded as
+/// one complete trace event (if a sink was installed at construction).
+/// `name` and `category` must be string literals (or otherwise outlive
+/// the sink).
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "pipeline")
-      : sink_(trace_sink()), name_(name), category_(category) {
-    if (sink_ != nullptr) start_us_ = trace_now_us();
-  }
+      : TraceSpan(name, nullptr, category) {}
+  TraceSpan(const char* name, Histogram& histogram,
+            const char* category = "pipeline")
+      : TraceSpan(name, &histogram, category) {}
 
-  ~TraceSpan() {
-    if (sink_ == nullptr) return;
-    const std::uint64_t end_us = trace_now_us();
-    sink_->record_complete(name_, category_, start_us_,
-                           end_us > start_us_ ? end_us - start_us_ : 0);
+  ~TraceSpan() { stop(); }
+
+  /// End the span now and return its seconds. Later calls (and the
+  /// destructor) record nothing more and return the same value.
+  double stop() {
+    if (!stopped_) finish(Clock::now());
+    return seconds_;
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
+  TraceSpan(const char* name, Histogram* histogram, const char* category)
+      : sink_(trace_sink()),
+        histogram_(histogram),
+        name_(name),
+        category_(category),
+        start_(Clock::now()) {}
+
+  void finish(Clock::time_point end);
+
   TraceSink* sink_;
+  Histogram* histogram_;
   const char* name_;
   const char* category_;
-  std::uint64_t start_us_ = 0;
+  Clock::time_point start_;
+  double seconds_ = 0.0;
+  bool stopped_ = false;
 };
 
 }  // namespace eid::obs

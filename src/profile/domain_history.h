@@ -109,8 +109,8 @@ struct RareExtraction {
 /// chosen with enterprise security professionals). `n_threads` partitions
 /// the domain-id range across worker threads; per-range results concatenate
 /// in range order, so the output is bit-identical for any thread count.
-/// `executor` (optional) carries the fan-out on a persistent pool instead
-/// of spawning threads.
+/// `executor` (optional) carries the fan-out on a persistent pool; without
+/// one the ranges run inline.
 RareExtraction extract_rare_destinations(const graph::DayGraph& graph,
                                          const DomainHistory& history,
                                          std::size_t popularity_threshold = 10,

@@ -8,7 +8,8 @@
 // manually (deterministic unit tests), from the replayed event stream
 // itself (benchmarks and log replay run as fast as the hardware allows),
 // or from the monotonic wall clock (live tailing). SimClock is that
-// seam; the engine never reads std::chrono directly.
+// seam; the engine reads sim time only through it (obs::Clock merely
+// times the ticks).
 //
 // All drivers are monotonic: now() never decreases, even when the event
 // stream carries out-of-order timestamps.
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "obs/trace.h"
 #include "util/time.h"
 
 namespace eid::rt {
@@ -69,16 +71,15 @@ class ReplayClock final : public SimClock {
 /// `sim_anchor` corresponds to the instant of construction, and now()
 /// advances with real elapsed time regardless of event timestamps. Used
 /// by `enterprise_monitor --follow` style deployments where ticks must
-/// close even when the tail goes quiet. Monotonic because
-/// std::chrono::steady_clock is.
+/// close even when the tail goes quiet. Monotonic because obs::Clock is.
 class RealTimeClock final : public SimClock {
  public:
   explicit RealTimeClock(util::TimePoint sim_anchor)
-      : sim_anchor_(sim_anchor), wall_anchor_(std::chrono::steady_clock::now()) {}
+      : sim_anchor_(sim_anchor), wall_anchor_(obs::Clock::now()) {}
 
   util::TimePoint now() const override {
     const auto elapsed = std::chrono::duration_cast<std::chrono::seconds>(
-        std::chrono::steady_clock::now() - wall_anchor_);
+        obs::Clock::now() - wall_anchor_);
     return sim_anchor_ + elapsed.count();
   }
 
@@ -86,7 +87,7 @@ class RealTimeClock final : public SimClock {
 
  private:
   util::TimePoint sim_anchor_ = 0;
-  std::chrono::steady_clock::time_point wall_anchor_;
+  obs::Clock::time_point wall_anchor_;
 };
 
 }  // namespace eid::rt

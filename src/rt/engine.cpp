@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -218,11 +217,9 @@ void ContinuousEngine::evaluate_tick(std::int64_t tick) {
   }
   ++stats_.evaluations;
   metrics.evaluations.add(1);
-  const obs::TraceSpan span("rt_tick_evaluate", "rt");
-  // Always timed: the pair of clock reads is negligible next to the
-  // evaluation and feeds the report's per-tick cost distribution
-  // (tick_eval_seconds); the metrics registry only sees it when enabled.
-  const auto tick_start = std::chrono::steady_clock::now();
+  // The span's seconds also feed the report's per-tick cost distribution
+  // (tick_eval_seconds), whether or not metrics are enabled.
+  obs::TraceSpan span("rt_tick_evaluate", metrics.tick_seconds, "rt");
 
   // Re-score the sliding window through the exact batch stages, then C&C
   // detection and (optionally) no-hint BP for community expansion. The
@@ -270,15 +267,11 @@ void ContinuousEngine::evaluate_tick(std::int64_t tick) {
     snapshot_scratch_ = std::move(analysis.graph);
   }
   dirty_ = false;
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    tick_start)
-          .count();
+  const double seconds = span.stop();
   tick_eval_seconds_.push_back(seconds);
   stats_.buffered_events = window_.buffered_events();
   stats_.cached_partial_events = window_.cached_events();
   if (obs::metrics().enabled()) {
-    metrics.tick_seconds.observe(seconds);
     metrics.last_tick.set(seconds);
     metrics.backlog.set(static_cast<double>(window_.buffered_events()));
     metrics.cached_events.set(static_cast<double>(window_.cached_events()));

@@ -56,7 +56,7 @@ struct WindowConfig {
   /// Cache per-bucket partials and merge them per tick (O(new events))
   /// instead of replaying the window's raw events (O(window)). Results are
   /// bit-identical either way (tests/rt_incremental_test.cpp); false is
-  /// the escape hatch and the equivalence baseline.
+  /// the equivalence oracle for the tests and bench_latency_rt.
   bool incremental = true;
 
   bool valid() const {

@@ -2,6 +2,8 @@
 
 #include <fstream>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/binary.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
@@ -154,15 +156,14 @@ bool append_delta_frame(const std::filesystem::path& chain_path,
 std::optional<DetectorState> load_detector_state_chain(
     const std::filesystem::path& path, ChainLoadReport* report,
     LoadStatus* status) {
-  const auto bytes = read_file(path, status);
-  if (!bytes) return std::nullopt;
-  auto state = decode_detector_state(*bytes, status);
-  if (!state) return std::nullopt;
-
+  static obs::Histogram& load_seconds = obs::metrics().histogram(
+      "eid_state_load_seconds", obs::duration_buckets());
+  const obs::TraceSpan span("state_load", load_seconds, "storage");
   ChainLoadReport local;
   ChainLoadReport& out = report != nullptr ? *report : local;
   out = ChainLoadReport{};
-  out.base_crc = util::crc32(*bytes);
+  auto state = load_detector_state(path, status, &out.base_crc);
+  if (!state) return std::nullopt;
 
   DeltaChainInfo info;
   LoadStatus chain_status;

@@ -91,7 +91,9 @@ struct ChainLoadReport {
 /// Load a full checkpoint plus its delta chain: decode the base file, then
 /// apply every frame whose base CRC, seq and contents check out, stopping
 /// (degraded, not failed) at the first frame that does not. nullopt only
-/// when the base itself cannot be loaded.
+/// when the base itself cannot be loaded. Every detector load goes through
+/// here; the whole load, chain replay included, is timed into
+/// eid_state_load_seconds.
 std::optional<DetectorState> load_detector_state_chain(
     const std::filesystem::path& path, ChainLoadReport* report = nullptr,
     LoadStatus* status = nullptr);

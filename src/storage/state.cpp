@@ -1,13 +1,14 @@
 #include "storage/state.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "features/cc_features.h"
 #include "features/similarity_features.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/delta.h"
 #include "util/binary.h"
+#include "util/crc32.h"
 #include "util/executor.h"
 
 namespace eid::storage {
@@ -982,10 +983,12 @@ struct StateMetrics {
       obs::metrics().counter("eid_state_saved_bytes_total");
   obs::Counter& loaded_bytes =
       obs::metrics().counter("eid_state_loaded_bytes_total");
+  obs::Counter& delta_frames =
+      obs::metrics().counter("eid_state_delta_frames_total");
   obs::Histogram& save_seconds = obs::metrics().histogram(
       "eid_state_save_seconds", obs::duration_buckets());
-  obs::Histogram& load_seconds = obs::metrics().histogram(
-      "eid_state_load_seconds", obs::duration_buckets());
+  obs::Histogram& delta_save_seconds = obs::metrics().histogram(
+      "eid_state_delta_save_seconds", obs::duration_buckets());
 };
 
 StateMetrics& state_metrics() {
@@ -1153,37 +1156,34 @@ bool apply_delta_frame(DetectorState& state, DeltaFrame& frame,
 bool save_detector_state(const StateView& state,
                          const std::filesystem::path& path,
                          std::size_t n_threads, LoadStatus* status,
-                         util::Executor* executor) {
-  const obs::TraceSpan span("state_save", "storage");
-  const auto start = std::chrono::steady_clock::now();
-  const std::string bytes = encode_state(state, n_threads, executor);
-  const bool ok = write_file_atomic(path, bytes, status);
+                         util::Executor* executor, std::uint32_t* crc) {
   StateMetrics& metrics = state_metrics();
-  if (ok) {
-    metrics.saves.add(1);
-    metrics.saved_bytes.add(bytes.size());
+  const bool frame = state.frame != nullptr;
+  const obs::TraceSpan span(
+      frame ? "state_delta_save" : "state_save",
+      frame ? metrics.delta_save_seconds : metrics.save_seconds, "storage");
+  const std::string bytes = encode_state(state, n_threads, executor);
+  if (!(frame ? append_delta_frame(path, bytes, status)
+              : write_file_atomic(path, bytes, status))) {
+    return false;
   }
-  metrics.save_seconds.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
-  return ok;
+  (frame ? metrics.delta_frames : metrics.saves).add(1);
+  metrics.saved_bytes.add(bytes.size());
+  if (crc != nullptr) *crc = util::crc32(bytes);
+  return true;
 }
 
 std::optional<DetectorState> load_detector_state(
-    const std::filesystem::path& path, LoadStatus* status) {
-  const obs::TraceSpan span("state_load", "storage");
-  const auto start = std::chrono::steady_clock::now();
+    const std::filesystem::path& path, LoadStatus* status,
+    std::uint32_t* crc) {
   const auto bytes = read_file(path, status);
   if (!bytes) return std::nullopt;
   auto state = decode_detector_state(*bytes, status);
+  if (!state) return std::nullopt;
   StateMetrics& metrics = state_metrics();
-  if (state) {
-    metrics.loads.add(1);
-    metrics.loaded_bytes.add(bytes->size());
-  }
-  metrics.load_seconds.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
+  metrics.loads.add(1);
+  metrics.loaded_bytes.add(bytes->size());
+  if (crc != nullptr) *crc = util::crc32(*bytes);
   return state;
 }
 

@@ -167,12 +167,17 @@ std::optional<DeltaFrame> decode_delta_frame(std::string_view payload,
 bool apply_delta_frame(DetectorState& state, DeltaFrame& frame,
                        LoadStatus* status = nullptr);
 
-/// Atomic tmp-file + rename write of the encoded state.
+/// Encode and write: the one save path. A full view replaces `path`
+/// atomically (tmp file + rename) and is timed into eid_state_save_seconds;
+/// a frame view (`state.frame` set) is appended to the chain file `path`
+/// (storage/delta.h) and timed into eid_state_delta_save_seconds. `crc`
+/// (optional) receives the CRC-32 of the written container bytes.
 bool save_detector_state(const StateView& state,
                          const std::filesystem::path& path,
                          std::size_t n_threads = 1,
                          LoadStatus* status = nullptr,
-                         util::Executor* executor = nullptr);
+                         util::Executor* executor = nullptr,
+                         std::uint32_t* crc = nullptr);
 inline bool save_detector_state(const DetectorState& state,
                                 const std::filesystem::path& path,
                                 std::size_t n_threads = 1,
@@ -182,7 +187,11 @@ inline bool save_detector_state(const DetectorState& state,
                              executor);
 }
 
+/// Read and decode one full checkpoint file, ignoring any delta chain
+/// (load_detector_state_chain, which times the whole load, reads its base
+/// through this). `crc` (optional) receives the CRC-32 of the file bytes.
 std::optional<DetectorState> load_detector_state(
-    const std::filesystem::path& path, LoadStatus* status = nullptr);
+    const std::filesystem::path& path, LoadStatus* status = nullptr,
+    std::uint32_t* crc = nullptr);
 
 }  // namespace eid::storage

@@ -70,7 +70,6 @@ Executor::Executor(std::size_t n_workers) {
     workers_.push_back(std::make_unique<Worker>());
   }
   for (std::size_t i = 0; i < n_workers; ++i) {
-    detail::thread_spawns.fetch_add(1, std::memory_order_relaxed);
     executor_metrics().spawned.add(1);
     threads_.emplace_back([this, i] { worker_loop(*workers_[i]); });
   }

@@ -1,16 +1,13 @@
-// Persistent worker pool behind the day-analysis engine.
-//
-// util::parallel_ranges spawns fresh std::threads for every stage of every
-// day, so at enterprise volume the spawn/join cost is paid hundreds of
-// times per day and swamps the parallel win (BENCH_perf.json recorded
-// 8-thread analysis at 0.86x of 1-thread before this existed). The
-// Executor keeps a fixed set of long-lived workers — spawned once, parked
-// on a condition variable when idle, fed through per-worker single-
-// consumer ring queues — and exposes the same deterministic range-fan-out
-// contract: partitions come from util::detail::partition_ranges, i.e. they
-// depend only on (n, n_threads) and never on scheduling or worker
-// availability, so per-range slot writers stay bit-identical to the
-// spawning path for every pool size.
+// Persistent worker pool behind the day-analysis engine — the only place
+// the library runs work on more than one thread. It keeps a fixed set of
+// long-lived workers — spawned once, parked on a condition variable when
+// idle, fed through per-worker single-consumer ring queues — so a stage
+// fan-out never pays thread construction. Partitions come from
+// util::detail::partition_ranges, i.e. they depend only on (n, n_threads)
+// and never on scheduling or worker availability, so per-range slot
+// writers are bit-identical for every pool size, zero workers (every call
+// inline) and no pool at all (util::parallel_ranges with a null executor)
+// included.
 //
 // Two entry points:
 //
@@ -106,8 +103,7 @@ class Executor {
   bool on_worker_thread() const;
 
   /// Run fn(range_index, begin, end) over [0, n) split into up to
-  /// n_threads contiguous ranges — the exact partition of
-  /// util::parallel_ranges (size slots with util::range_count). fn must
+  /// n_threads contiguous ranges (size slots with util::range_count). fn must
   /// only touch state owned by its range. Blocks until all ranges are
   /// done; the first exception thrown by any range is rethrown here.
   template <typename Fn>
@@ -117,10 +113,7 @@ class Executor {
     if (ranges == 1 || workers_.empty() || on_worker_thread()) {
       // Inline (and for nested worker-side calls: sequential, ascending) —
       // identical ranges, identical results.
-      for (std::size_t w = 0; w < ranges; ++w) {
-        const std::size_t begin = w * chunk;
-        fn(w, begin, std::min(begin + chunk, n));
-      }
+      detail::inline_ranges(n, n_threads, fn);
       return;
     }
     const obs::TraceSpan span("executor_fan_out", "executor");
@@ -156,8 +149,7 @@ class Executor {
   TaskHandle submit(std::function<void()> task);
 
   /// Tasks handed to pool workers so far (fan-out ranges + submits) —
-  /// observability for tests asserting the pool, not spawning, does the
-  /// work.
+  /// observability for tests asserting the pool does the work.
   std::uint64_t tasks_dispatched() const {
     return dispatched_.load(std::memory_order_relaxed);
   }
@@ -203,16 +195,16 @@ class Executor {
   std::atomic<std::int64_t> queued_{0};
 };
 
-/// Dispatch helper for call sites with an optional pool: fan out on
-/// `executor` when one is wired up, otherwise fall back to the spawning
-/// util::parallel_ranges. Same partition, same results, either way.
+/// Fan out on `executor`, or — with no pool — run every range inline on
+/// the caller, exactly like a zero-worker Executor. Same partition, same
+/// results, either way.
 template <typename Fn>
 void parallel_ranges(Executor* executor, std::size_t n, std::size_t n_threads,
                      Fn&& fn) {
   if (executor != nullptr) {
     executor->parallel_ranges(n, n_threads, std::forward<Fn>(fn));
   } else {
-    parallel_ranges(n, n_threads, std::forward<Fn>(fn));
+    detail::inline_ranges(n, n_threads, fn);
   }
 }
 

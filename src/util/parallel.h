@@ -6,20 +6,11 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <thread>
-#include <vector>
 
 namespace eid::util {
 
 namespace detail {
-
-/// Every std::thread this module ever constructs (parallel_ranges spawns
-/// + Executor workers) — the observable tests use to prove the persistent
-/// pool eliminated per-day thread construction.
-inline std::atomic<std::uint64_t> thread_spawns{0};
 
 /// The one source of truth for the partition of [0, n) into contiguous
 /// ranges: both the fan-out and range_count derive from it, so per-range
@@ -37,47 +28,23 @@ inline RangePartition partition_ranges(std::size_t n, std::size_t n_threads) {
   return {chunk, (n + chunk - 1) / chunk};
 }
 
+/// Every range of the partition on the calling thread, in ascending order:
+/// the sequential form of a fan-out (same ranges, same results).
+template <typename Fn>
+void inline_ranges(std::size_t n, std::size_t n_threads, Fn&& fn) {
+  const auto [chunk, ranges] = partition_ranges(n, n_threads);
+  for (std::size_t w = 0; w < ranges; ++w) {
+    const std::size_t begin = w * chunk;
+    fn(w, begin, std::min(begin + chunk, n));
+  }
+}
+
 }  // namespace detail
 
-/// Run fn(range_index, begin, end) over [0, n) split into up to n_threads
-/// contiguous ranges, each on its own std::thread. fn must only touch
-/// state owned by its range (no locks needed, none taken). n_threads <= 1,
-/// or n < 2, degrades to one inline call. range_index is dense from 0 and
-/// there are exactly range_count(n, n_threads) ranges.
-template <typename Fn>
-void parallel_ranges(std::size_t n, std::size_t n_threads, Fn&& fn) {
-  const auto [chunk, ranges] = detail::partition_ranges(n, n_threads);
-  if (ranges == 0) return;
-  if (ranges == 1) {
-    fn(std::size_t{0}, std::size_t{0}, n);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(ranges - 1);
-  detail::thread_spawns.fetch_add(ranges - 1, std::memory_order_relaxed);
-  for (std::size_t w = 1; w < ranges; ++w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(begin + chunk, n);
-    pool.emplace_back([&fn, w, begin, end] { fn(w, begin, end); });
-  }
-  // The calling thread takes range 0 instead of idling in join — one
-  // fewer spawn per region and no wasted execution context.
-  fn(std::size_t{0}, std::size_t{0}, chunk);
-  for (std::thread& worker : pool) worker.join();
-}
-
-/// Number of ranges parallel_ranges(n, n_threads, ...) will invoke —
-/// size per-range result slots with this before fanning out.
+/// Number of ranges a fan-out of (n, n_threads) invokes — size per-range
+/// result slots with this before fanning out.
 inline std::size_t range_count(std::size_t n, std::size_t n_threads) {
   return detail::partition_ranges(n, n_threads).ranges;
-}
-
-/// Monotonic count of threads this process constructed for parallel work
-/// (fan-out spawns and util::Executor workers alike). In steady state —
-/// an executor wired through every stage — this must stay flat across
-/// days; tests/determinism_test.cpp asserts it.
-inline std::uint64_t thread_spawn_count() {
-  return detail::thread_spawns.load(std::memory_order_relaxed);
 }
 
 }  // namespace eid::util

@@ -8,9 +8,9 @@
 #include "core/pipeline.h"
 #include "core/report_json.h"
 #include "eval/lanl_runner.h"
+#include "obs/metrics.h"
 #include "sim/ac.h"
 #include "test_helpers.h"
-#include "util/parallel.h"
 
 namespace eid {
 namespace {
@@ -185,11 +185,14 @@ TEST(DeterminismTest, SteadyStateSpawnsNoThreads) {
   api::MultiDaySource warmup(100, &warmup_days);
   detector.run_days(warmup);
 
-  const std::uint64_t spawned = util::thread_spawn_count();
+  obs::metrics().set_enabled(true);
+  const obs::Counter& spawns =
+      obs::metrics().counter("eid_executor_threads_spawned_total");
+  const std::uint64_t spawned = spawns.value();
   api::MultiDaySource source(101, &more_days);
   const auto reports = detector.run_days(source);
   EXPECT_EQ(reports.size(), more_days.size());
-  EXPECT_EQ(util::thread_spawn_count(), spawned)
+  EXPECT_EQ(spawns.value(), spawned)
       << "steady-state days must not construct threads";
 }
 

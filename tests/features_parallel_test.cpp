@@ -1,13 +1,20 @@
 // The multi-threaded automation scan must be bit-identical to the
-// sequential one for any thread count.
+// sequential one for any thread count. The fan-outs run on a real worker
+// pool, so the TSan job sees them on separate threads.
 #include <gtest/gtest.h>
 
 #include "features/automation.h"
 #include "test_helpers.h"
+#include "util/executor.h"
 #include "util/rng.h"
 
 namespace eid::features {
 namespace {
+
+util::Executor& pool() {
+  static util::Executor executor(3);
+  return executor;
+}
 
 graph::DayGraph busy_graph() {
   test::DayBuilder builder;
@@ -46,8 +53,8 @@ TEST_P(ParallelAutomation, MatchesSequentialExactly) {
   const timing::PeriodicityDetector detector;
   const AutomationAnalysis sequential =
       AutomationAnalysis::analyze(graph, candidates, detector, 1);
-  const AutomationAnalysis parallel =
-      AutomationAnalysis::analyze(graph, candidates, detector, GetParam());
+  const AutomationAnalysis parallel = AutomationAnalysis::analyze(
+      graph, candidates, detector, GetParam(), &pool());
 
   EXPECT_EQ(parallel.pair_count(), sequential.pair_count());
   EXPECT_EQ(parallel.automated_domains(), sequential.automated_domains());
@@ -74,7 +81,7 @@ TEST(ParallelAutomationTest, MoreThreadsThanCandidates) {
   const std::vector<graph::DomainId> candidates = {graph.find_domain("only.com")};
   const timing::PeriodicityDetector detector;
   const AutomationAnalysis analysis =
-      AutomationAnalysis::analyze(graph, candidates, detector, 16);
+      AutomationAnalysis::analyze(graph, candidates, detector, 16, &pool());
   EXPECT_EQ(analysis.pair_count(), 1u);
 }
 
@@ -82,7 +89,7 @@ TEST(ParallelAutomationTest, EmptyCandidates) {
   const graph::DayGraph graph = busy_graph();
   const timing::PeriodicityDetector detector;
   const AutomationAnalysis analysis =
-      AutomationAnalysis::analyze(graph, {}, detector, 8);
+      AutomationAnalysis::analyze(graph, {}, detector, 8, &pool());
   EXPECT_EQ(analysis.pair_count(), 0u);
 }
 

@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "util/executor.h"
+
 namespace eid::graph {
 namespace {
+
+/// Worker pool for the multi-threaded finalize cases, so they run on real
+/// threads (and under the TSan job).
+std::shared_ptr<util::Executor> pool() {
+  static const auto executor = std::make_shared<util::Executor>(3);
+  return executor;
+}
 
 logs::ConnEvent event(util::TimePoint ts, std::string host, std::string domain,
                       std::string ua = "", bool referer = false) {
@@ -161,7 +172,7 @@ TEST(DayGraphTest, ShardedBuildMatchesSequential) {
 
   for (const std::size_t shards : {2u, 4u, 9u}) {
     SCOPED_TRACE(std::to_string(shards) + " shards");
-    DayGraph sharded(shards);
+    DayGraph sharded(shards, pool());
     feed(sharded);
     sharded.finalize(3);
 
@@ -275,7 +286,7 @@ TEST(DayGraphTest, AbsorbMatchesSequentialReplay) {
 // carried across snapshots of the growing graph — stay bit-identical at
 // every step. The recycled finalize_snapshot_into() variant must too.
 TEST(DayGraphTest, SnapshotMatchesFinalizeAcrossGrowth) {
-  DayGraph growing(3);
+  DayGraph growing(3, pool());
   DayGraph::SnapshotCache cache;
   DayGraph recycled;  // reused output container across snapshots
   for (const int end : {20, 35, 60}) {
@@ -287,7 +298,7 @@ TEST(DayGraphTest, SnapshotMatchesFinalizeAcrossGrowth) {
     growing.absorb(slice);
 
     // Reference: consuming finalize of an identically-built graph.
-    DayGraph reference(3);
+    DayGraph reference(3, pool());
     for (const auto& ev : slice_events(0, end)) reference.add_event(ev);
     reference.finalize(2);
 

@@ -1,11 +1,16 @@
 // Unit tests for the observability layer (src/obs): registry semantics,
 // sharded-cell merge exactness under concurrency, histogram bucket edges,
-// deterministic snapshot ordering, the disabled near-no-op path, and the
-// trace sink's Chrome trace-event JSON. Runs under the TSan matrix — the
-// concurrent cases are the data-race regression net for the sharded cells.
+// deterministic snapshot ordering, the disabled near-no-op path, the
+// trace sink's Chrome trace-event JSON, the stage span, and the instrument
+// contract: which histogram and span every pipeline stage and checkpoint
+// path feeds. Runs under the TSan matrix — the concurrent cases are the
+// data-race regression net for the sharded cells.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,8 +18,11 @@
 #include <thread>
 #include <vector>
 
+#include "api/detector.h"
+#include "api/event_source.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/delta.h"
 #include "test_helpers.h"
 
 namespace {
@@ -270,6 +278,121 @@ TEST(ObsTraceTest, WriteChromeJsonRoundTrips) {
   EXPECT_TRUE(eid::test::json_well_formed(buffer.str()));
   EXPECT_NE(buffer.str().find("persisted"), std::string::npos);
   std::filesystem::remove(path);
+}
+
+// ---- Stage span ----
+
+TEST(ObsSpanTest, StopObservesOnceAndReturnsTheSpanSeconds) {
+  obs::metrics().set_enabled(true);
+  obs::Histogram& histogram = obs::metrics().histogram(
+      "test_span_seconds", obs::duration_buckets());
+  const std::uint64_t before = histogram.count();
+  obs::TraceSink sink;
+  obs::set_trace_sink(&sink);
+  double seconds = 0.0;
+  {
+    obs::TraceSpan span("timed_stage", histogram, "test");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    seconds = span.stop();
+    EXPECT_EQ(span.stop(), seconds);  // idempotent; records nothing more
+  }
+  obs::set_trace_sink(nullptr);
+  EXPECT_GE(seconds, 0.002);
+  EXPECT_EQ(histogram.count(), before + 1);
+  EXPECT_EQ(sink.event_count(), 1u);
+
+  // Disabled metrics drop the observation, but the caller still gets the
+  // seconds (the rt tick keeps them in its report either way).
+  obs::metrics().set_enabled(false);
+  {
+    obs::TraceSpan span("timed_stage", histogram, "test");
+    EXPECT_GE(span.stop(), 0.0);
+  }
+  obs::metrics().set_enabled(true);
+  EXPECT_EQ(histogram.count(), before + 1);
+}
+
+// ---- Instrument contract ----
+//
+// Benches (perfbench, bench_throughput_day) and the /metrics exposition
+// read per-layer costs from these histograms by name, and a missing name
+// reads as zero there. Pin which histogram and span each stage and each
+// checkpoint path feeds.
+
+const obs::HistogramSnapshot* find_histogram(
+    const obs::MetricsSnapshot& snapshot, const std::string& name) {
+  for (const obs::HistogramSnapshot& h : snapshot.histograms) {
+    if (h.name == name) return &h;
+  }
+  return nullptr;
+}
+
+TEST(ObsInstrumentContractTest, StagesAndCheckpointPathsFeedTheirInstruments) {
+  obs::metrics().set_enabled(true);
+  test::MapWhois whois;
+  test::DayBuilder builder;
+  const util::Day day = 100;
+  const util::TimePoint base = util::day_start(day);
+  for (int h = 0; h < 12; ++h) {
+    for (int d = 0; d < 6; ++d) {
+      builder.visit("h" + std::to_string(h), "d" + std::to_string(d) + ".com",
+                    base + 100 * h + 7 * d, {0}, "UA-a");
+    }
+  }
+  builder.beacon("h1", "beacon.ru", base + 2000, 600, 40);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("eid-obs-contract-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path path = dir / "detector.state";
+
+  obs::TraceSink sink;
+  obs::set_trace_sink(&sink);
+  const obs::MetricsSnapshot before = obs::metrics().snapshot();
+  {
+    api::Detector detector(core::PipelineConfig{}, whois);
+    api::VectorSource source(day, &builder.events());
+    detector.run_day(source, day);
+    storage::LoadStatus status;
+    ASSERT_TRUE(detector.save_state(path, &status)) << status.detail;
+    // The first delta save after a plain save compacts (a full save); the
+    // second appends a frame.
+    ASSERT_TRUE(detector.save_state_delta(path, {}, &status)) << status.detail;
+    ASSERT_TRUE(detector.save_state_delta(path, {}, &status)) << status.detail;
+    ASSERT_TRUE(std::filesystem::exists(storage::delta_chain_path(path)));
+    api::Detector restored(core::PipelineConfig{}, whois);
+    ASSERT_TRUE(restored.load_state(path, &status)) << status.detail;
+  }
+  const obs::MetricsSnapshot after = obs::metrics().snapshot();
+  obs::set_trace_sink(nullptr);
+  std::filesystem::remove_all(dir);
+
+  const auto delta = [&](const std::string& name) -> std::uint64_t {
+    const obs::HistogramSnapshot* now = find_histogram(after, name);
+    EXPECT_NE(now, nullptr) << name << " is not registered";
+    if (now == nullptr) return 0;
+    const obs::HistogramSnapshot* then = find_histogram(before, name);
+    return now->count - (then != nullptr ? then->count : 0);
+  };
+  EXPECT_EQ(delta("eid_pipeline_finalize_seconds"), 1u);
+  EXPECT_EQ(delta("eid_pipeline_rare_seconds"), 1u);
+  EXPECT_EQ(delta("eid_pipeline_automation_seconds"), 1u);
+  EXPECT_EQ(delta("eid_pipeline_report_seconds"), 1u);
+  EXPECT_EQ(delta("eid_pipeline_history_commit_seconds"), 1u);
+  EXPECT_GE(delta("eid_ingest_seconds"), 1u);
+  EXPECT_EQ(delta("eid_state_save_seconds"), 2u);
+  EXPECT_EQ(delta("eid_state_delta_save_seconds"), 1u);
+  EXPECT_EQ(delta("eid_state_load_seconds"), 1u);
+
+  const std::string trace = sink.to_chrome_json();
+  for (const char* span :
+       {"ingest_chunk", "csr_finalize", "rare_extraction", "automation_scan",
+        "report_day", "history_commit", "state_save", "state_delta_save",
+        "state_load"}) {
+    EXPECT_NE(trace.find("\"name\": \"" + std::string(span) + "\""),
+              std::string::npos)
+        << span;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // util::Executor — the persistent worker pool. The contract under test:
 // identical fan-out partitions (and therefore identical results) to the
-// spawning util::parallel_ranges for every pool size, zero thread
+// inline, pool-less util::parallel_ranges for every pool size, zero thread
 // construction in steady state, a draining destructor that never drops
 // submitted work, and exception propagation from both entry points.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/executor.h"
 #include "util/parallel.h"
 
@@ -20,7 +21,7 @@ namespace eid::util {
 namespace {
 
 // Fill one slot per index, tagged with the owning range — any scheduling
-// dependence would disagree with the spawning reference below.
+// dependence would disagree with the inline (null-executor) reference.
 std::vector<std::size_t> fan_out_slots(Executor* executor, std::size_t n,
                                        std::size_t n_threads) {
   std::vector<std::size_t> slots(n, 0);
@@ -33,7 +34,7 @@ std::vector<std::size_t> fan_out_slots(Executor* executor, std::size_t n,
   return slots;
 }
 
-TEST(ExecutorTest, MatchesSpawningPartitionForAnyPoolSize) {
+TEST(ExecutorTest, MatchesInlinePartitionForAnyPoolSize) {
   const std::size_t n = 103;
   for (const std::size_t n_threads : {1u, 2u, 3u, 8u}) {
     const auto reference = fan_out_slots(nullptr, n, n_threads);
@@ -46,8 +47,11 @@ TEST(ExecutorTest, MatchesSpawningPartitionForAnyPoolSize) {
 }
 
 TEST(ExecutorTest, ReuseSpawnsNoFurtherThreads) {
+  obs::metrics().set_enabled(true);
+  const obs::Counter& spawns =
+      obs::metrics().counter("eid_executor_threads_spawned_total");
   Executor executor(3);
-  const std::uint64_t spawned = thread_spawn_count();
+  const std::uint64_t spawned = spawns.value();
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> sum{0};
     executor.parallel_ranges(64, 8,
@@ -60,7 +64,7 @@ TEST(ExecutorTest, ReuseSpawnsNoFurtherThreads) {
     handle.wait();
   }
   // The whole loop ran on the three threads built by the constructor.
-  EXPECT_EQ(thread_spawn_count(), spawned);
+  EXPECT_EQ(spawns.value(), spawned);
   EXPECT_GT(executor.tasks_dispatched(), 0u);
 }
 
