@@ -22,7 +22,11 @@
 //   * batch_day_<i> — day_report_to_json of each day of one 3-day
 //     run_days over the operation days;
 //   * rt_emissions_tick_<s> — the ContinuousEngine's emission sequence
-//     over the same 3 days at tick size s (300 and 3600).
+//     over the same 3 days at tick size s (300 and 3600);
+//   * lanl_table3 — the Table III LANL challenge result on the benches'
+//     canonical LANL world: per-day tp/fp/fn and the per-case totals. The
+//     same run gates the overall TDR/FDR against the paper's; ctest runs
+//     it as its own entry (lanl_table3_test) so it overlaps the rest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,9 +40,11 @@
 #include <string>
 #include <vector>
 
+#include "../bench/bench_common.h"
 #include "api/detector.h"
 #include "api/event_source.h"
 #include "core/report_json.h"
+#include "eval/lanl_runner.h"
 #include "profile/top_sites.h"
 #include "rt/engine.h"
 #include "sim/ac.h"
@@ -92,6 +98,20 @@ void write_digests(const std::map<std::string, std::string>& digests) {
   spit(kGoldenDir / "digests.txt", out.str());
 }
 
+/// Compare against the committed digest, or record it under --update.
+void check_digest(const std::string& name, std::string_view bytes) {
+  const std::string actual = digest(bytes);
+  std::map<std::string, std::string> expected = read_digests();
+  if (g_update) {
+    expected[name] = actual;
+    write_digests(expected);
+    return;
+  }
+  const auto it = expected.find(name);
+  ASSERT_NE(it, expected.end()) << name << " missing from digests.txt";
+  EXPECT_EQ(it->second, actual) << name;
+}
+
 sim::AcConfig small_world() {
   sim::AcConfig config;
   config.seed = 31;
@@ -124,7 +144,6 @@ class GoldenTest : public ::testing::Test {
     seeds_.domains = scenario_->ioc_seeds();
     top_sites_.add("top-whitelisted.example");
     top_sites_.add("another-popular.example");
-    expected_ = read_digests();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
@@ -173,17 +192,8 @@ class GoldenTest : public ::testing::Test {
     return days;
   }
 
-  /// Compare against the committed digest, or record it under --update.
   void check(const std::string& name, std::string_view bytes) {
-    const std::string actual = digest(bytes);
-    if (g_update) {
-      expected_[name] = actual;
-      write_digests(expected_);
-      return;
-    }
-    const auto it = expected_.find(name);
-    ASSERT_NE(it, expected_.end()) << name << " missing from digests.txt";
-    EXPECT_EQ(it->second, actual) << name;
+    check_digest(name, bytes);
   }
 
   std::filesystem::path dir_;
@@ -192,7 +202,6 @@ class GoldenTest : public ::testing::Test {
   std::vector<std::pair<util::Day, std::vector<logs::ConnEvent>>> operation_;
   core::SocSeeds seeds_;
   profile::TopSitesList top_sites_;
-  std::map<std::string, std::string> expected_;
 };
 
 TEST_F(GoldenTest, FullCheckpointBytes) {
@@ -337,6 +346,41 @@ TEST_F(GoldenTest, RetiredChainFixture) {
   ASSERT_TRUE(reloaded.load_state(path, &report, &status)) << status.detail;
   EXPECT_FALSE(report.degraded) << report.detail;
   EXPECT_EQ(reloaded.days_operated(), 1u);
+}
+
+std::string counts_text(const eval::DetectionCounts& counts) {
+  return std::to_string(counts.tp) + ' ' + std::to_string(counts.fp) + ' ' +
+         std::to_string(counts.fn);
+}
+
+/// Table III: the challenge on the benches' canonical LANL world. The
+/// digest locks every count; the gate holds the overall rates to the
+/// paper's (TDR 98.33%, FDR 1.67%), so a drifted scorer threshold fails
+/// here even when --update would hide it from the digest.
+TEST(LanlTable3, ChallengeDigestAndPaperGate) {
+  sim::LanlScenario scenario(bench::lanl_config());
+  eval::LanlRunner runner(scenario);
+  const eval::LanlChallengeResult result = runner.run_challenge();
+
+  std::ostringstream out;
+  for (const eval::LanlDayResult& day : result.days) {
+    out << util::format_day(day.challenge.day) << " case "
+        << day.challenge.case_id
+        << (day.challenge.training ? " train " : " test ")
+        << counts_text(day.counts) << '\n';
+  }
+  for (int case_id = 1; case_id <= 4; ++case_id) {
+    out << "case " << case_id << " training "
+        << counts_text(result.per_case_training[case_id]) << " testing "
+        << counts_text(result.per_case_testing[case_id]) << '\n';
+  }
+  out << "training " << counts_text(result.training_total) << '\n'
+      << "testing " << counts_text(result.testing_total) << '\n'
+      << "total " << counts_text(result.total) << '\n';
+  check_digest("lanl_table3", out.str());
+
+  EXPECT_GE(result.total.tdr(), 0.9833) << counts_text(result.total);
+  EXPECT_LE(result.total.fdr(), 0.0167) << counts_text(result.total);
 }
 
 }  // namespace
