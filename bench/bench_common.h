@@ -15,6 +15,7 @@
 
 #include "sim/ac.h"
 #include "sim/lanl.h"
+#include "util/replace_file.h"
 
 namespace eid::bench {
 
@@ -158,25 +159,17 @@ inline bool write_json_section(const std::string& path,
   }
   if (!replaced) sections.emplace_back(section, body);
 
-  // Write-then-rename so a concurrent reader never sees a half-written
-  // file (which the malformed-content fallback would otherwise interpret
-  // as "discard the other bench's section"). Two --json writers running
-  // at the same instant still race read-modify-write (last rename wins);
-  // run the benches sequentially when recording.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << "{\n";
-    for (std::size_t s = 0; s < sections.size(); ++s) {
-      out << "  \"" << sections[s].first << "\": " << sections[s].second
-          << (s + 1 < sections.size() ? ",\n" : "\n");
-    }
-    out << "}\n";
-    out.flush();  // surface disk-full before promoting the tmp file
-    if (!out) return false;
+  // replace_file: a concurrent reader never sees a half-written file (the
+  // malformed-content fallback would drop the other benches' sections).
+  // Two --json writers at the same instant still race read-modify-write
+  // (last rename wins); run the benches sequentially when recording.
+  std::string out = "{\n";
+  for (std::size_t s = 0; s < sections.size(); ++s) {
+    out += "  \"" + sections[s].first + "\": " + sections[s].second +
+           (s + 1 < sections.size() ? ",\n" : "\n");
   }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  out += "}\n";
+  return util::replace_file(path, out);
 }
 
 /// Canonical LANL world for the benches (DNS flavor, ~1000 hosts —

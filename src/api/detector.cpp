@@ -264,17 +264,23 @@ bool Detector::full_checkpoint(const std::filesystem::path& path,
     pipeline_.set_history_journaling(false);
     return true;
   }
+  prime_chain(path, base_crc, 1, 0);
+  return true;
+}
+
+void Detector::prime_chain(const std::filesystem::path& path,
+                           std::uint32_t base_crc, std::uint64_t next_seq,
+                           std::size_t saves_since_full) {
   delta_.active = true;
   delta_.path = path;
   delta_.base_crc = base_crc;
-  delta_.next_seq = 1;
-  delta_.saves_since_full = 0;
+  delta_.next_seq = next_seq;
+  delta_.saves_since_full = saves_since_full;
   delta_.cc_rows_mark = pipeline_.cc_training_rows();
   delta_.sim_rows_mark = pipeline_.sim_training_rows();
   delta_.intel_dirty = false;
   delta_.top_sites_dirty = false;
   pipeline_.set_history_journaling(true);  // fresh journal from this base
-  return true;
 }
 
 bool Detector::save_state_delta(const std::filesystem::path& path,
@@ -346,16 +352,8 @@ bool Detector::load_state(const std::filesystem::path& path,
   if (!chain.degraded) {
     // Clean replay (a torn tail is fine — append truncates it): continue
     // appending to the same chain from the next sequence number.
-    delta_.active = true;
-    delta_.path = path;
-    delta_.base_crc = chain.base_crc;
-    delta_.next_seq = chain.last_seq + 1;
-    delta_.saves_since_full = chain.frames_applied;
-    delta_.cc_rows_mark = pipeline_.cc_training_rows();
-    delta_.sim_rows_mark = pipeline_.sim_training_rows();
-    delta_.intel_dirty = false;
-    delta_.top_sites_dirty = false;
-    pipeline_.set_history_journaling(true);
+    prime_chain(path, chain.base_crc, chain.last_seq + 1,
+                chain.frames_applied);
   }
   return true;
 }

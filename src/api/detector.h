@@ -213,11 +213,6 @@ class Detector {
   bool load_state(const std::filesystem::path& path,
                   storage::LoadStatus* status = nullptr);
 
-  /// Apply an already-decoded snapshot (callers that inspect a
-  /// storage::load_detector_state() result before committing to it avoid
-  /// decoding the file twice).
-  void restore_state(storage::DetectorState state);
-
   // ---- Delta checkpoints + failover (storage/delta.h) ----
 
   /// Incremental daily save: every policy.full_every-th call rewrites the
@@ -253,15 +248,14 @@ class Detector {
   /// Completed operation days (run_day calls), restored by load_state().
   std::size_t days_operated() const { return days_operated_; }
 
-  // ---- Observability (obs/metrics.h, obs/trace.h) ----
-
-  /// Merged point-in-time view of the process metrics registry — render
-  /// with obs::to_prometheus or obs::to_json. Collection is on by
-  /// default; obs::metrics().set_enabled(false) reduces every probe to a
-  /// relaxed load + branch.
-  obs::MetricsSnapshot metrics_snapshot() const {
-    return obs::metrics().snapshot();
+  /// The first day not yet closed when operation days run in order from
+  /// `operation_begin`: a resumed walk or live tail never re-closes one
+  /// before it (its history updates are already in the state).
+  util::Day first_open_day(util::Day operation_begin) const {
+    return operation_begin + static_cast<util::Day>(days_operated_);
   }
+
+  // ---- Observability (obs/metrics.h, obs/trace.h) ----
 
   /// Install (or clear, with nullptr) the process-wide trace sink; every
   /// pipeline stage, executor dispatch, rt tick and state save/load then
@@ -304,6 +298,15 @@ class Detector {
   /// save_state_delta. `degenerate` skips priming (policy always-full).
   bool full_checkpoint(const std::filesystem::path& path, bool degenerate,
                        storage::LoadStatus* status);
+
+  /// Append future frames to `path`'s chain (after a full save or a clean
+  /// chain load); the history journal restarts from the current state.
+  void prime_chain(const std::filesystem::path& path, std::uint32_t base_crc,
+                   std::uint64_t next_seq, std::size_t saves_since_full);
+
+  /// Replace the whole detector state with a decoded snapshot; the chain
+  /// goes cold until prime_chain. The load paths' common tail.
+  void restore_state(storage::DetectorState state);
 
   core::Pipeline pipeline_;
   std::unique_ptr<profile::TopSitesList> owned_top_sites_;

@@ -90,15 +90,6 @@ class TsvFileSource final : public EventSource {
   /// or finish()).
   void set_tail(bool enabled) { tail_ = enabled; }
 
-  /// Tail mode resume (failover takeover / checkpointed cursor): skip the
-  /// file prefix a previous process already consumed. Call before the
-  /// first next_chunk(); the skipped bytes are not re-counted in the
-  /// process metrics.
-  void resume_at(std::uint64_t byte_offset) {
-    stats_.byte_offset = byte_offset;
-    published_.byte_offset = byte_offset;
-  }
-
   /// Per-source ingestion accounting. The same counts feed the process
   /// metrics registry (eid_source_* series) as deltas after every
   /// next_chunk() call; this struct stays the per-file view.

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/replace_file.h"
+
 namespace eid::obs {
 
 namespace {
@@ -171,6 +173,11 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
     out += histogram.name + "_count " + std::to_string(histogram.count) + "\n";
   }
   return out;
+}
+
+bool write_prometheus(const std::filesystem::path& path,
+                      const MetricsSnapshot& snapshot) {
+  return util::replace_file(path, to_prometheus(snapshot));
 }
 
 std::string to_json(const MetricsSnapshot& snapshot) {

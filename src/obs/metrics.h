@@ -39,6 +39,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -215,6 +216,12 @@ struct MetricsSnapshot {
 /// rows, `_sum`/`_count`) — write to a file for the node-exporter textfile
 /// collector or serve from a /metrics endpoint.
 std::string to_prometheus(const MetricsSnapshot& snapshot);
+
+/// Write to_prometheus(snapshot) to `path` through util::replace_file, so
+/// a scraper never reads a torn exposition (point the node-exporter
+/// textfile collector at it). Returns false on I/O failure.
+bool write_prometheus(const std::filesystem::path& path,
+                      const MetricsSnapshot& snapshot);
 
 /// JSON object: {"counters": {...}, "gauges": {...}, "histograms": {...}}
 /// — the `metrics` section shape merged into BENCH_perf.json-style files.

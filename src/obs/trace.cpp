@@ -1,9 +1,9 @@
 #include "obs/trace.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "obs/metrics.h"
+#include "util/replace_file.h"
 
 namespace eid::obs {
 
@@ -85,18 +85,7 @@ std::string TraceSink::to_chrome_json() const {
 }
 
 bool TraceSink::write_chrome_json(const std::filesystem::path& path) const {
-  const std::string body = to_chrome_json();
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) return false;
-    out << body << "\n";
-    out.flush();
-    if (!out) return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  return !ec;
+  return util::replace_file(path, to_chrome_json() + "\n");
 }
 
 void TraceSink::clear() {

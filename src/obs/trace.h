@@ -69,7 +69,7 @@ class TraceSink {
   /// Chrome trace-event JSON (object form: {"traceEvents": [...], ...}).
   std::string to_chrome_json() const;
 
-  /// Write to_chrome_json() atomically (tmp + rename), so a viewer or
+  /// Write to_chrome_json() through util::replace_file, so a viewer or
   /// uploader never reads a torn file. Returns false on I/O failure.
   bool write_chrome_json(const std::filesystem::path& path) const;
 

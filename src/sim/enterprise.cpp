@@ -70,7 +70,6 @@ void EnterpriseSimulator::build_hosts() {
       std::snprintf(buf, sizeof(buf), "172.16.%zu.%zu", (h >> 8) & 0xff, h & 0xff);
       host.static_ip = buf;
     }
-    host_names_.push_back(host.name);
     hosts_.push_back(std::move(host));
   }
   for (std::size_t s = 0; s < config_.n_servers; ++s) {

@@ -83,7 +83,6 @@ class EnterpriseSimulator {
   const WhoisDb& whois() const { return whois_; }
   const GroundTruth& truth() const { return truth_; }
   const logs::DhcpTable& dhcp() const { return dhcp_; }
-  const std::vector<std::string>& host_names() const { return host_names_; }
 
   logs::DnsReductionConfig dns_reduction_config() const;
   logs::ProxyReductionConfig proxy_reduction_config() const;
@@ -158,7 +157,6 @@ class EnterpriseSimulator {
   logs::DhcpTable dhcp_;
 
   std::vector<HostProfile> hosts_;
-  std::vector<std::string> host_names_;
   std::vector<std::string> server_names_;
   std::vector<PopularDomain> popular_;
   std::vector<std::string> internal_domains_;

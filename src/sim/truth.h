@@ -17,8 +17,6 @@ namespace eid::sim {
 
 enum class TruthLabel { Benign, Grayware, Malicious };
 
-const char* truth_label_name(TruthLabel label);
-
 /// Everything true about one attack campaign.
 struct CampaignTruth {
   int id = 0;
@@ -64,14 +62,6 @@ class GroundTruth {
   const CampaignTruth* campaign(int id) const {
     auto it = campaigns_.find(id);
     return it == campaigns_.end() ? nullptr : &it->second;
-  }
-
-  std::size_t malicious_count() const {
-    std::size_t n = 0;
-    for (const auto& [name, label] : labels_) {
-      if (label == TruthLabel::Malicious) ++n;
-    }
-    return n;
   }
 
  private:

@@ -43,21 +43,6 @@ enum class FaultPoint : std::uint8_t {
   kCount,
 };
 
-constexpr const char* fault_point_name(FaultPoint point) {
-  switch (point) {
-    case FaultPoint::StorageOpenRead: return "storage-open-read";
-    case FaultPoint::StorageRead: return "storage-read";
-    case FaultPoint::StorageOpenWrite: return "storage-open-write";
-    case FaultPoint::StorageWrite: return "storage-write";
-    case FaultPoint::StorageRename: return "storage-rename";
-    case FaultPoint::StorageAppend: return "storage-append";
-    case FaultPoint::TailOpen: return "tail-open";
-    case FaultPoint::TailRead: return "tail-read";
-    case FaultPoint::kCount: break;
-  }
-  return "unknown";
-}
-
 enum class FaultAction : std::uint8_t {
   None = 0,
   FailOpen,
