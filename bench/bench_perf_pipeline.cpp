@@ -1,16 +1,20 @@
 // Throughput benchmarks (google-benchmark) for the stages that must keep
 // up with terabyte-scale daily log volume (§II-C): domain folding, DNS and
-// proxy reduction, graph construction, periodicity testing, rare
-// extraction, belief propagation, and the streaming api::Detector facade
-// (chunk-size sweep: throughput must be flat in the chunking).
+// proxy reduction, a proxy day drained from its TSV file, graph
+// construction, periodicity testing, rare extraction, belief propagation,
+// and the streaming api::Detector facade (chunk-size sweep: throughput
+// must be flat in the chunking).
 //
 // Pass --json[=path] to also record the results as the "micro" section of
 // BENCH_perf.json at the repo root, so perf is tracked across PRs
 // (bench_throughput_day writes the "throughput" section of the same file).
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <iomanip>
 #include <sstream>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "core/belief_propagation.h"
 #include "core/scorers.h"
 #include "eval/lanl_runner.h"
+#include "logs/files.h"
 #include "logs/folding.h"
 #include "logs/reduction.h"
 #include "obs/metrics.h"
@@ -84,6 +89,38 @@ void BM_ProxyReduction(benchmark::State& state) {
                           static_cast<std::int64_t>(logs.proxy.size()));
 }
 BENCHMARK(BM_ProxyReduction);
+
+void BM_TsvProxyDaySource(benchmark::State& state) {
+  // One simulated proxy day as a TSV file on disk, drained end to end by
+  // the file source: block reads, line split, parse, reduce, chunk order.
+  sim::EnterpriseSimulator sim(bench_config(sim::Flavor::Proxy), {});
+  const sim::DayLogs logs = sim.simulate_day(util::make_day(2014, 1, 2));
+  const logs::ProxyReductionConfig config = sim.proxy_reduction_config();
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("eid-bench-proxy-day-" + std::to_string(::getpid()) + ".tsv");
+  if (!logs::write_proxy_file(path, logs.proxy)) {
+    state.SkipWithError("cannot write the proxy day");
+    return;
+  }
+  const auto bytes =
+      static_cast<std::int64_t>(std::filesystem::file_size(path));
+  for (auto _ : state) {
+    api::TsvFileSource source(path, util::make_day(2014, 1, 2), sim.dhcp(),
+                              config);
+    std::size_t events = 0;
+    while (const auto chunk = source.next_chunk()) {
+      events += chunk->events.size();
+    }
+    benchmark::DoNotOptimize(events);
+  }
+  std::filesystem::remove(path);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          bytes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(logs.proxy.size()));
+}
+BENCHMARK(BM_TsvProxyDaySource);
 
 void BM_DayGraphBuild(benchmark::State& state) {
   sim::EnterpriseSimulator sim(bench_config(sim::Flavor::Proxy), {});
@@ -397,11 +434,15 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < reporter.entries.size(); ++i) {
     const auto& entry = reporter.entries[i];
     const auto items = entry.counters.find("items_per_second");
+    const auto bytes = entry.counters.find("bytes_per_second");
     body << (i == 0 ? "\n" : ",\n");
     body << "      {\"name\": \"" << entry.name << "\", \"real_time_ns\": "
          << entry.real_time_ns << ", \"items_per_second\": "
-         << (items != entry.counters.end() ? double(items->second) : 0.0)
-         << "}";
+         << (items != entry.counters.end() ? double(items->second) : 0.0);
+    if (bytes != entry.counters.end()) {
+      body << ", \"bytes_per_second\": " << double(bytes->second);
+    }
+    body << "}";
   }
   body << "\n    ]\n  }";
   if (!eid::bench::write_json_section(json_path, "micro", body.str())) {

@@ -6,7 +6,8 @@
 // This file parses flags (print_usage lists them) and prints; the library
 // does the rest. --state resumes through api::Detector::load_state, which
 // continues the checkpoint's delta chain; --follow runs rt::follow, the
-// live tail; --standby runs rt::standby, the failover loop (rt/standby.h
+// live tail (after a restore, with the incidents the chain carried);
+// --standby runs rt::standby, the failover loop (rt/standby.h
 // has the protocol); --metrics-out and --trace-out are rewritten after
 // every day, or every ~2 s while following.
 #include <charconv>
@@ -294,6 +295,7 @@ int main(int argc, char** argv) {
   }
 
   bool restored = false;
+  std::optional<core::IncidentStore> resumed_incidents;
   if (!state_path.empty()) {
     storage::LoadStatus status;
     storage::ChainLoadReport chain;
@@ -316,6 +318,7 @@ int main(int argc, char** argv) {
       runner.emplace(scenario, runner_config);
     } else {
       restored = true;
+      resumed_incidents = rt::take_chain_incidents(chain);
       const core::Pipeline& pipeline = loaded.pipeline();
       std::printf("restored checkpoint %s (+%zu delta frame(s)): %zu known "
                   "domain(s), %zu UA(s), %zu operation day(s) completed, "
@@ -357,7 +360,8 @@ int main(int argc, char** argv) {
 
   if (!follow.log_path.empty()) {
     return finish_follow(
-        rt::follow(detector, follow, scenario.operation_begin(), seeds, hooks),
+        rt::follow(detector, follow, scenario.operation_begin(), seeds, hooks,
+                   resumed_incidents ? &*resumed_incidents : nullptr),
         state_path);
   }
 

@@ -1,6 +1,7 @@
 #include "api/sources.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -10,6 +11,7 @@
 
 #include "logs/io.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/fault_injection.h"
 
 namespace eid::api {
@@ -37,6 +39,10 @@ struct SourceMetrics {
       obs::metrics().counter("eid_source_flows_kept_total");
   obs::Counter& flows_unattributed =
       obs::metrics().counter("eid_source_flows_unattributed_total");
+  /// Parse + reduce seconds of each TsvFileSource / NetflowSource
+  /// next_chunk() call.
+  obs::Histogram& parse_seconds = obs::metrics().histogram(
+      "eid_source_parse_seconds", obs::duration_buckets());
 };
 
 SourceMetrics& source_metrics() {
@@ -79,9 +85,12 @@ void TsvFileSource::open() {
     stats_.opened = false;
     return;
   }
-  file_.open(path_);
+  file_.open(path_, std::ios::binary);
   stats_.opened = static_cast<bool>(file_);
   identity_known_ = false;
+  block_pos_ = 0;
+  block_end_ = 0;
+  at_eof_ = false;
 #ifndef _WIN32
   if (stats_.opened) {
     struct ::stat st{};
@@ -190,64 +199,47 @@ std::optional<EventChunk> TsvFileSource::next_chunk() {
       }
     }
     backoff_polls_ = 0;  // reachable and readable: full retry speed again
-    // Clear a previous pass's eof and resume at the last complete line.
-    // A partially written trailing line left there is re-read whole once
-    // its newline lands.
+    // Clear a previous pass's eof and read on from where the buffered
+    // bytes end. A partially written trailing line stays buffered and is
+    // taken whole once its newline lands.
     file_.clear();
-    file_.seekg(static_cast<std::streamoff>(stats_.byte_offset));
+    file_.seekg(static_cast<std::streamoff>(stats_.byte_offset +
+                                            (block_end_ - block_pos_)));
+    at_eof_ = false;
   }
-  std::string line;
+  const obs::TraceSpan span("source_parse", source_metrics().parse_seconds,
+                            "ingest");
   // A chunk of records can reduce to zero events (all dropped); keep
   // reading until something survives or the file is exhausted.
-  while (file_) {
-    std::vector<logs::DnsRecord> dns_records;
-    std::vector<logs::ProxyRecord> proxy_records;
+  while (stats_.opened) {
     std::size_t parsed = 0;
-    while (parsed < chunk_records_ && std::getline(file_, line)) {
-      if (file_.eof()) {
-        // Successful getline that hit eof = final line with no trailing
-        // newline. In tail mode it may still be mid-write: leave it (and
-        // the offset) for the next poll. Batch mode takes it as-is.
-        if (tail_) {
-          stats_.partial_line_bytes = line.size();
-          break;
-        }
-        stats_.byte_offset += line.size();
-      } else {
-        stats_.byte_offset += line.size() + 1;
-        stats_.partial_line_bytes = 0;
-      }
-      if (line.empty()) continue;
-      ++stats_.lines;
-      if (format_ == Format::Dns) {
-        if (auto rec = logs::parse_dns_line(line)) {
-          dns_records.push_back(std::move(*rec));
-          ++parsed;
-          ++stats_.parsed;
-        } else {
-          ++stats_.malformed;
-        }
-      } else {
-        if (auto rec = logs::parse_proxy_line(line)) {
-          proxy_records.push_back(std::move(*rec));
-          ++parsed;
-          ++stats_.parsed;
-        } else {
-          ++stats_.malformed;
-        }
-      }
+    if (format_ == Format::Dns) {
+      logs::DnsReducer reducer(dns_reduction_);
+      parsed = read_chunk(logs::parse_dns_fields, reducer);
+    } else {
+      logs::ProxyReducer reducer(*leases_, proxy_reduction_);
+      parsed = read_chunk(logs::parse_proxy_fields, reducer);
     }
     if (parsed == 0) break;
-    buffer_ = format_ == Format::Dns
-                  ? logs::reduce_dns(dns_records, dns_reduction_)
-                  : logs::reduce_proxy(proxy_records, *leases_, proxy_reduction_);
-    if (!buffer_.empty()) {
-      stats_.events += buffer_.size();
+    if (chunk_events_ > 0) {
+      const std::span<logs::ConnEvent> events(buffer_.data(), chunk_events_);
+      logs::order_by_time(events, order_keys_);
+      stats_.events += chunk_events_;
       publish_stats();
-      return EventChunk{day_, buffer_};
+      return EventChunk{day_, events};
     }
   }
   publish_stats();
+  if (!tail_) {
+    // Drained: the buffers are not needed again (reset() re-grows them),
+    // and the consumer often finishes the day while this source lives.
+    std::vector<char>().swap(block_);
+    block_pos_ = 0;
+    block_end_ = 0;
+    std::vector<logs::ConnEvent>().swap(buffer_);
+    logs::TimeOrderKeys().swap(order_keys_);
+    chunk_events_ = 0;
+  }
   // Day-boundary marker: a readable file whose lines all reduced away is
   // still an (empty) day, exactly like the legacy read-then-profile loop.
   // Not in tail mode — there the stream has no end, only "nothing yet".
@@ -258,12 +250,86 @@ std::optional<EventChunk> TsvFileSource::next_chunk() {
   return std::nullopt;
 }
 
+bool TsvFileSource::next_line(std::string_view& line) {
+  while (true) {
+    const char* begin = block_.data() + block_pos_;
+    const std::size_t available = block_end_ - block_pos_;
+    if (available > 0) {
+      if (const void* newline = std::memchr(begin, '\n', available)) {
+        const std::size_t length =
+            static_cast<std::size_t>(static_cast<const char*>(newline) - begin);
+        line = std::string_view(begin, length);
+        block_pos_ += length + 1;
+        return true;
+      }
+    }
+    if (at_eof_) return false;
+    // Move the unterminated tail to the front and fill the rest; a line
+    // longer than the whole block doubles it.
+    if (block_pos_ > 0) {
+      std::memmove(block_.data(), begin, available);
+      block_pos_ = 0;
+      block_end_ = available;
+    }
+    if (block_end_ == block_.size()) {
+      block_.resize(std::max(kReadBlockBytes, 2 * block_.size()));
+    }
+    file_.read(block_.data() + block_end_,
+               static_cast<std::streamsize>(block_.size() - block_end_));
+    block_end_ += static_cast<std::size_t>(file_.gcount());
+    if (!file_) at_eof_ = true;  // short read: end of file (or read error)
+  }
+}
+
+template <typename Parse, typename Reducer>
+std::size_t TsvFileSource::read_chunk(Parse parse, Reducer& reducer) {
+  std::size_t parsed = 0;
+  chunk_events_ = 0;
+  while (parsed < chunk_records_) {
+    std::string_view line;
+    if (next_line(line)) {
+      stats_.byte_offset += line.size() + 1;
+      stats_.partial_line_bytes = 0;
+    } else {
+      // A final line with no newline. In tail mode it may still be
+      // mid-write: leave it (and the offset) for the next poll. Batch
+      // mode takes it as-is.
+      const std::size_t rest = block_end_ - block_pos_;
+      if (rest == 0) break;
+      if (tail_) {
+        stats_.partial_line_bytes = rest;
+        break;
+      }
+      line = std::string_view(block_.data() + block_pos_, rest);
+      block_pos_ = block_end_;
+      stats_.byte_offset += rest;
+    }
+    if (line.empty()) continue;
+    ++stats_.lines;
+    const auto fields = parse(line);
+    if (!fields) {
+      ++stats_.malformed;
+      continue;
+    }
+    ++parsed;
+    ++stats_.parsed;
+    if (chunk_events_ == buffer_.size()) {
+      if (buffer_.empty()) {
+        buffer_.reserve(std::min(chunk_records_, kDefaultChunkEvents));
+      }
+      buffer_.emplace_back();
+    }
+    if (reducer.reduce(*fields, buffer_[chunk_events_])) ++chunk_events_;
+  }
+  return parsed;
+}
+
 bool TsvFileSource::reset() {
   file_.close();
   file_.clear();
   stats_ = Stats{};
   published_ = Stats{};  // a replay's counts are new fleet-total increments
-  buffer_.clear();
+  chunk_events_ = 0;
   empty_marker_sent_ = false;
   backoff_polls_ = 0;
   backoff_remaining_ = 0;
@@ -310,6 +376,8 @@ NetflowSource::NetflowSource(util::Day day, std::vector<logs::FlowRecord> flows,
       chunk_flows_(chunk_flows == 0 ? kDefaultChunkEvents : chunk_flows) {}
 
 std::optional<EventChunk> NetflowSource::next_chunk() {
+  const obs::TraceSpan span("source_parse", source_metrics().parse_seconds,
+                            "ingest");
   while (pos_ < flows_.size()) {
     const std::size_t count = std::min(chunk_flows_, flows_.size() - pos_);
     logs::FlowReductionStats chunk_stats;

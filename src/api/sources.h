@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "api/event_source.h"
@@ -29,12 +30,17 @@
 namespace eid::api {
 
 /// Streams one day's TSV log file (DNS or proxy flavor) as reduced events.
-/// Lines are parsed with logs::parse_dns_line / logs::parse_proxy_line;
-/// each chunk of parsed records goes through the matching logs::reduce_*.
-/// Note: reduce_* orders each chunk by timestamp, so with an unsorted file
-/// the concatenated stream is only chunk-locally ordered — all downstream
-/// analysis is order-independent (edge timestamps are re-sorted at
-/// finalize), so results do not depend on the chunking.
+/// The file is read in fixed blocks (kReadBlockBytes, reused; it grows only
+/// to hold a single longer line) and split into lines in place. Each line
+/// is parsed with logs::parse_dns_fields / logs::parse_proxy_fields into
+/// views and reduced at once by the matching logs::DnsReducer /
+/// logs::ProxyReducer into a reused event buffer — no per-record heap
+/// object. A drained batch-mode source frees both buffers. A chunk is
+/// chunk_records parsed records, ordered by timestamp like logs::reduce_*,
+/// so with an unsorted file the concatenated stream is only chunk-locally
+/// ordered — all downstream analysis is order-independent (edge
+/// timestamps are re-sorted at finalize), so results do not depend on the
+/// chunking.
 class TsvFileSource final : public EventSource {
  public:
   /// Per-file ingestion accounting, surfaced to operators (a deployment
@@ -75,6 +81,8 @@ class TsvFileSource final : public EventSource {
                 logs::DnsReductionConfig reduction,
                 std::size_t chunk_records = kDefaultChunkEvents);
 
+  /// Parse + reduce time of each call is one eid_source_parse_seconds
+  /// observation.
   std::optional<EventChunk> next_chunk() override;
   bool reset() override;
 
@@ -98,8 +106,20 @@ class TsvFileSource final : public EventSource {
  private:
   enum class Format { Dns, Proxy };
 
+  /// Read-block size: large enough that reads are few, small enough that
+  /// a source's resident footprint does not scale with the file.
+  static constexpr std::size_t kReadBlockBytes = 64 * 1024;
+
   void open();
   void publish_stats();
+  /// The next newline-terminated line (newline excluded), reading more of
+  /// the file as needed. False at the end of the data read so far; the
+  /// block then holds only the unterminated tail, if any.
+  bool next_line(std::string_view& line);
+  /// Parse and reduce up to chunk_records_ records into buffer_[0,
+  /// chunk_events_). Returns the records parsed.
+  template <typename Parse, typename Reducer>
+  std::size_t read_chunk(Parse parse, Reducer& reducer);
   /// Tail mode: did the file under `path_` rotate (new inode/device) or
   /// shrink below the cursor? Detecting it resets the cursor to 0.
   bool detect_rotation();
@@ -117,9 +137,19 @@ class TsvFileSource final : public EventSource {
   std::size_t chunk_records_;
 
   std::ifstream file_;
+  /// Bytes read from file_; [block_pos_, block_end_) is not yet consumed
+  /// and starts at file offset stats_.byte_offset.
+  std::vector<char> block_;
+  std::size_t block_pos_ = 0;
+  std::size_t block_end_ = 0;
+  bool at_eof_ = false;  ///< the last read reached the end of the file
   Stats stats_;
   Stats published_;  ///< registry counters already cover these amounts
+  /// Event slots reused across chunks (their strings keep their capacity);
+  /// the current chunk is [0, chunk_events_).
   std::vector<logs::ConnEvent> buffer_;
+  std::size_t chunk_events_ = 0;
+  logs::TimeOrderKeys order_keys_;
   bool empty_marker_sent_ = false;
   bool tail_ = false;
 

@@ -13,8 +13,8 @@ void DhcpTable::add_lease(DhcpLease lease) {
   ++count_;
 }
 
-std::optional<std::string> DhcpTable::resolve(const std::string& ip,
-                                              util::TimePoint ts) const {
+std::optional<std::string_view> DhcpTable::resolve(std::string_view ip,
+                                                   util::TimePoint ts) const {
   auto it = by_ip_.find(ip);
   if (it == by_ip_.end()) return std::nullopt;
   auto& slot = it->second;

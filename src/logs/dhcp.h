@@ -5,9 +5,10 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
+#include "util/interner.h"
 #include "util/time.h"
 
 namespace eid::logs {
@@ -28,9 +29,10 @@ class DhcpTable {
   /// how DHCP servers reissue addresses).
   void add_lease(DhcpLease lease);
 
-  /// Hostname holding `ip` at time `ts`, if any lease covers it.
-  std::optional<std::string> resolve(const std::string& ip,
-                                     util::TimePoint ts) const;
+  /// Hostname holding `ip` at time `ts`, if any lease covers it. The view
+  /// points into the table and stays valid until the next add_lease().
+  std::optional<std::string_view> resolve(std::string_view ip,
+                                          util::TimePoint ts) const;
 
   std::size_t lease_count() const { return count_; }
 
@@ -49,7 +51,7 @@ class DhcpTable {
     std::vector<DhcpLease> leases;
     bool sorted = true;
   };
-  mutable std::unordered_map<std::string, PerIp> by_ip_;
+  mutable util::TransparentStringMap<PerIp> by_ip_;
   std::size_t count_ = 0;
 };
 

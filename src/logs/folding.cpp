@@ -1,9 +1,6 @@
 #include "logs/folding.h"
 
 #include <array>
-#include <vector>
-
-#include "util/strings.h"
 
 namespace eid::logs {
 namespace {
@@ -19,30 +16,47 @@ constexpr std::array<std::string_view, 12> kTwoLabelSuffixes = {
 }  // namespace
 
 bool has_two_label_public_suffix(std::string_view domain) {
-  const auto labels = util::split(domain, '.');
-  if (labels.size() < 2) return false;
-  const std::string tail = std::string(labels[labels.size() - 2]) + "." +
-                           std::string(labels[labels.size() - 1]);
+  // The last two labels, compared case-sensitively; empty labels count.
+  const std::size_t last_dot = domain.rfind('.');
+  if (last_dot == std::string_view::npos) return false;
+  const std::size_t second_dot =
+      last_dot == 0 ? std::string_view::npos : domain.rfind('.', last_dot - 1);
+  const std::string_view tail = second_dot == std::string_view::npos
+                                    ? domain
+                                    : domain.substr(second_dot + 1);
   for (const auto suffix : kTwoLabelSuffixes) {
     if (tail == suffix) return true;
   }
   return false;
 }
 
-std::string fold_domain(std::string_view domain, FoldLevel level) {
+void fold_domain_into(std::string_view domain, FoldLevel level,
+                      std::string& out) {
   // Strip root-label dots entirely so degenerate inputs (".", "..") fold
   // to the empty string and folding stays idempotent.
   while (!domain.empty() && domain.back() == '.') domain.remove_suffix(1);
   while (!domain.empty() && domain.front() == '.') domain.remove_prefix(1);
-  const auto labels = util::split(domain, '.');
   std::size_t keep = static_cast<std::size_t>(level);
   if (has_two_label_public_suffix(domain)) ++keep;
-  if (labels.size() <= keep) return util::to_lower(domain);
-  std::string out;
-  for (std::size_t i = labels.size() - keep; i < labels.size(); ++i) {
-    if (!out.empty()) out += '.';
-    out += util::to_lower(labels[i]);
+  // Keep the text after the keep-th dot from the right (all of it when
+  // there are fewer labels than that), lower-cased. Empty labels at the
+  // front of the kept part are dropped with their dots.
+  std::size_t begin = domain.size();
+  std::size_t dots = 0;
+  while (begin > 0) {
+    if (domain[begin - 1] == '.' && ++dots == keep) break;
+    --begin;
   }
+  while (begin < domain.size() && domain[begin] == '.') ++begin;
+  out.assign(domain.substr(begin));
+  for (char& c : out) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+}
+
+std::string fold_domain(std::string_view domain, FoldLevel level) {
+  std::string out;
+  fold_domain_into(domain, level, out);
   return out;
 }
 

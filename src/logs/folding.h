@@ -21,6 +21,11 @@ enum class FoldLevel { SecondLevel = 2, ThirdLevel = 3 };
 std::string fold_domain(std::string_view domain,
                         FoldLevel level = FoldLevel::SecondLevel);
 
+/// fold_domain written into `out` (replacing its contents), so a caller
+/// that reuses `out` folds without allocating.
+void fold_domain_into(std::string_view domain, FoldLevel level,
+                      std::string& out);
+
 /// True if the registrable suffix of the domain spans two labels (co.uk...).
 bool has_two_label_public_suffix(std::string_view domain);
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/ipv4.h"
 #include "util/time.h"
@@ -46,6 +47,32 @@ struct ProxyRecord {
   int status = 200;
   std::string user_agent;        ///< "" when the client sent no UA
   std::string referer;           ///< "" when the request carried no referer
+};
+
+/// Non-owning view of one DNS record: what logs::parse_dns_fields yields
+/// for a TSV line (views into the line) and what the DNS reducer reads.
+struct DnsFields {
+  util::TimePoint ts = 0;
+  std::string_view src;
+  std::string_view domain;
+  DnsType type = DnsType::A;
+  std::optional<util::Ipv4> response_ip;
+};
+
+/// Non-owning view of one proxy record (views into a TSV line or into a
+/// ProxyRecord); "-" fields of a line are already mapped to empty.
+struct ProxyFields {
+  util::TimePoint ts = 0;
+  std::string_view collector;
+  std::string_view src_ip;
+  std::string_view hostname;
+  std::string_view domain;
+  std::optional<util::Ipv4> dest_ip;
+  std::string_view url_path;
+  HttpMethod method = HttpMethod::Get;
+  int status = 200;
+  std::string_view user_agent;
+  std::string_view referer;
 };
 
 /// Canonical reduced event: one observed connection from an internal host to

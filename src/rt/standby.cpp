@@ -130,6 +130,15 @@ bool StandbyReplica::take_incidents(core::IncidentStore& store) const {
   return incidents_.has_value();
 }
 
+std::optional<core::IncidentStore> take_chain_incidents(
+    storage::ChainLoadReport& report) {
+  if (!report.has_incidents) return std::nullopt;
+  std::optional<core::IncidentStore> store;
+  store.emplace().restore(std::move(report.incidents),
+                          report.incidents_next_id);
+  return store;
+}
+
 std::filesystem::path heartbeat_path(const std::filesystem::path& state_path) {
   return std::filesystem::path(state_path) += ".hb";
 }

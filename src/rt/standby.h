@@ -137,6 +137,14 @@ FollowResult follow(api::Detector& detector, const FollowConfig& config,
                     const FollowHooks& hooks,
                     core::IncidentStore* adopt = nullptr);
 
+/// The incident store a chain load carried in its newest frame, moved out
+/// of `report`: a primary restarting from its own checkpoint passes it to
+/// follow() as `adopt`, so its incident ids continue and domains it
+/// already announced are not announced as new again. std::nullopt when no
+/// applied frame carried incidents.
+std::optional<core::IncidentStore> take_chain_incidents(
+    storage::ChainLoadReport& report);
+
 /// "<state>.hb" — the primary's liveness beacon (mtime is the signal).
 std::filesystem::path heartbeat_path(const std::filesystem::path& state_path);
 

@@ -43,17 +43,4 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
-bool is_all_digits(std::string_view text) {
-  if (text.empty()) return false;
-  for (char c : text) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
-}
-
 }  // namespace eid::util

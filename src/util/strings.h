@@ -20,9 +20,5 @@ std::string to_lower(std::string_view text);
 std::string join(const std::vector<std::string>& pieces, std::string_view sep);
 
 bool starts_with(std::string_view text, std::string_view prefix);
-bool ends_with(std::string_view text, std::string_view suffix);
-
-/// True if every character is an ASCII digit (and text is non-empty).
-bool is_all_digits(std::string_view text);
 
 }  // namespace eid::util

@@ -2,8 +2,8 @@
 // sharded-cell merge exactness under concurrency, histogram bucket edges,
 // deterministic snapshot ordering, the disabled near-no-op path, the
 // trace sink's Chrome trace-event JSON, the stage span, and the instrument
-// contract: which histogram and span every pipeline stage and checkpoint
-// path feeds. Runs under the TSan matrix — the concurrent cases are the
+// contract: which histogram and span every source, pipeline stage and
+// checkpoint path feeds. Runs under the TSan matrix — the concurrent cases are the
 // data-race regression net for the sharded cells.
 #include <gtest/gtest.h>
 
@@ -20,6 +20,8 @@
 
 #include "api/detector.h"
 #include "api/event_source.h"
+#include "api/sources.h"
+#include "logs/files.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/delta.h"
@@ -393,6 +395,60 @@ TEST(ObsInstrumentContractTest, StagesAndCheckpointPathsFeedTheirInstruments) {
               std::string::npos)
         << span;
   }
+}
+
+TEST(ObsInstrumentContractTest, SourcesFeedTheParseHistogram) {
+  obs::metrics().set_enabled(true);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("eid-obs-sources-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  std::vector<logs::DnsRecord> records;
+  for (int i = 0; i < 5; ++i) {
+    logs::DnsRecord rec;
+    rec.ts = 1000 + i;
+    rec.src = "h" + std::to_string(i);
+    rec.domain = "q" + std::to_string(i) + ".example.net";
+    records.push_back(rec);
+  }
+  ASSERT_TRUE(logs::write_dns_file(dir / "dns.tsv", records));
+  logs::PassiveDnsCache pdns;
+  pdns.observe("alpha.example.com", util::Ipv4::from_octets(203, 0, 113, 1),
+               100);
+  std::vector<logs::FlowRecord> flows(3);
+  for (logs::FlowRecord& flow : flows) {
+    flow.ts = 200;
+    flow.src = "h0";
+    flow.dst_ip = util::Ipv4::from_octets(203, 0, 113, 1);
+    flow.dst_port = 443;
+  }
+
+  obs::TraceSink sink;
+  obs::set_trace_sink(&sink);
+  const obs::MetricsSnapshot before = obs::metrics().snapshot();
+  std::size_t calls = 0;
+  {
+    // 5 records in chunks of 2: three chunks, then the end of the file.
+    api::TsvFileSource tsv(dir / "dns.tsv", 7, logs::DnsReductionConfig{}, 2);
+    while (tsv.next_chunk()) ++calls;
+    ++calls;
+    api::NetflowSource netflow(7, flows, pdns, {}, 2);
+    while (netflow.next_chunk()) ++calls;
+    ++calls;
+  }
+  const obs::MetricsSnapshot after = obs::metrics().snapshot();
+  obs::set_trace_sink(nullptr);
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(calls, 7u);
+
+  const obs::HistogramSnapshot* now =
+      find_histogram(after, "eid_source_parse_seconds");
+  ASSERT_NE(now, nullptr) << "eid_source_parse_seconds is not registered";
+  const obs::HistogramSnapshot* then =
+      find_histogram(before, "eid_source_parse_seconds");
+  EXPECT_EQ(now->count - (then != nullptr ? then->count : 0), calls);
+  EXPECT_NE(sink.to_chrome_json().find("\"name\": \"source_parse\""),
+            std::string::npos);
 }
 
 }  // namespace

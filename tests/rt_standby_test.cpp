@@ -4,15 +4,16 @@
 // day reports are bit-identical to the ones the primary would have
 // produced. Plus the heartbeat beacon the takeover decision reads, and the
 // monitor's live tail (rt::follow) and standby loop (rt::standby) driven
-// in-process: a restart continues the delta chain, a mid-day takeover
-// matches the uninterrupted primary, and no takeover or restart re-closes
-// a day the restored state already closed.
+// in-process: a restart continues the delta chain and the primary's
+// incidents, a mid-day takeover matches the uninterrupted primary, and no
+// takeover or restart re-closes a day the restored state already closed.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,33 @@ class StandbyTest : public ::testing::Test {
   }
 
   util::Day operation_begin() const { return operation_[0].first; }
+
+  /// A durable primary checkpoints its base, tails what `live_log` holds
+  /// of operation day 0, checkpoints the cursor and its incidents, and
+  /// dies before the day closes. Returns what it emitted.
+  std::vector<rt::IncidentEmission> crash_mid_day(
+      const std::filesystem::path& live_log) {
+    api::Detector primary = make_pretrained();
+    storage::LoadStatus status;
+    const api::CheckpointPolicy policy{7};
+    EXPECT_TRUE(rt::save_checkpoint(primary, state_path_, policy, &status));
+    api::TsvFileSource source(live_log, operation_[0].first,
+                              logs::DnsReductionConfig{});
+    source.set_tail(true);
+    rt::ReplayClock clock;
+    rt::EngineConfig engine_config;
+    engine_config.seeds = seeds_;
+    rt::ContinuousEngine engine(primary, clock, engine_config);
+    engine.poll(source);
+    api::CheckpointExtras extras;
+    extras.has_cursor = true;
+    extras.cursor_day = operation_[0].first;
+    extras.cursor_offset = source.stats().byte_offset;
+    extras.incidents = &engine.incidents();
+    EXPECT_TRUE(rt::save_checkpoint(primary, state_path_, policy, &status,
+                                    extras));
+    return engine.emissions();
+  }
 
   std::filesystem::path dir_;
   std::filesystem::path state_path_;
@@ -405,33 +433,10 @@ TEST_F(StandbyTest, MidDayTakeoverMatchesTheUninterruptedPrimary) {
   }
   ASSERT_EQ(reference.days.size(), 1u);
 
-  // The primary checkpoints its base, tails half the day, checkpoints the
-  // cursor and its incidents, and dies before the day closes.
   const auto live_log = dir_ / "live.tsv";
   write_log(live_log, 0, 0, half);
-  std::vector<rt::IncidentEmission> before_crash;
-  {
-    api::Detector primary = make_pretrained();
-    storage::LoadStatus status;
-    const api::CheckpointPolicy policy{7};
-    ASSERT_TRUE(rt::save_checkpoint(primary, state_path_, policy, &status));
-    api::TsvFileSource source(live_log, operation_[0].first,
-                              logs::DnsReductionConfig{});
-    source.set_tail(true);
-    rt::ReplayClock clock;
-    rt::EngineConfig engine_config;
-    engine_config.seeds = seeds_;
-    rt::ContinuousEngine engine(primary, clock, engine_config);
-    engine.poll(source);
-    before_crash = engine.emissions();
-    api::CheckpointExtras extras;
-    extras.has_cursor = true;
-    extras.cursor_day = operation_[0].first;
-    extras.cursor_offset = source.stats().byte_offset;
-    extras.incidents = &engine.incidents();
-    ASSERT_TRUE(rt::save_checkpoint(primary, state_path_, policy, &status,
-                                    extras));
-  }
+  const std::vector<rt::IncidentEmission> before_crash =
+      crash_mid_day(live_log);
   ASSERT_FALSE(before_crash.empty());
   ASSERT_LT(before_crash.size(), reference.emissions.size());
 
@@ -461,6 +466,70 @@ TEST_F(StandbyTest, MidDayTakeoverMatchesTheUninterruptedPrimary) {
     actual.push_back(emission_key(emission));
   }
   EXPECT_EQ(actual, expected);
+}
+
+TEST_F(StandbyTest, RestartedPrimaryAdoptsItsIncidents) {
+  const auto& events = operation_[0].second;
+  const std::size_t half = events.size() / 2;
+  const auto full_log = dir_ / "full.tsv";
+  write_log(full_log, 0, 0, events.size());
+  Recorded reference;
+  {
+    api::Detector detector = make_pretrained();
+    rt::FollowConfig config = follow_config(full_log, 0);
+    config.state_path.clear();
+    ASSERT_TRUE(rt::follow(detector, config, operation_begin(), seeds_,
+                           reference.hooks())
+                    .ok);
+  }
+
+  const auto live_log = dir_ / "live.tsv";
+  write_log(live_log, 0, 0, half);
+  const std::vector<rt::IncidentEmission> before_crash =
+      crash_mid_day(live_log);
+  ASSERT_FALSE(before_crash.empty());
+  ASSERT_LT(before_crash.size(), reference.emissions.size());
+
+  // The same primary restarts from its own checkpoint (the monitor's
+  // --state --follow path) and re-reads the finished day's log.
+  write_log(live_log, 0, half, events.size());
+  api::Detector restarted = make_detector();
+  storage::ChainLoadReport chain;
+  storage::LoadStatus status;
+  ASSERT_TRUE(restarted.load_state(state_path_, &chain, &status))
+      << status.detail;
+  std::optional<core::IncidentStore> incidents =
+      rt::take_chain_incidents(chain);
+  ASSERT_TRUE(incidents.has_value());
+  Recorded after_restart;
+  const rt::FollowResult result =
+      rt::follow(restarted, follow_config(live_log, 0), operation_begin(),
+                 seeds_, after_restart.hooks(), &*incidents);
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(after_restart.days, reference.days);
+
+  // Ids continue and the restart announces exactly what the uninterrupted
+  // primary announced after the crash point.
+  std::vector<std::string> expected;
+  for (std::size_t i = before_crash.size(); i < reference.emissions.size();
+       ++i) {
+    expected.push_back(emission_key(reference.emissions[i]));
+  }
+  std::vector<std::string> actual;
+  for (const auto& emission : after_restart.emissions) {
+    actual.push_back(emission_key(emission));
+  }
+  EXPECT_EQ(actual, expected);
+  std::vector<rt::IncidentEmission> all = before_crash;
+  all.insert(all.end(), after_restart.emissions.begin(),
+             after_restart.emissions.end());
+  std::set<std::string> announced;
+  for (const rt::IncidentEmission& emission : all) {
+    for (const std::string& domain : emission.domains) {
+      EXPECT_TRUE(announced.insert(domain).second)
+          << domain << " announced as new twice";
+    }
+  }
 }
 
 TEST_F(StandbyTest, TakeoverAndRestartNeverReCloseAClosedDay) {
